@@ -54,12 +54,12 @@ func TestExitlessInstanceServesWithoutTransitions(t *testing.T) {
 	}
 
 	// Warm up, then measure one request's transition delta.
-	if _, err := inst.ServeRequest(context.Background(), 40, 80, func(*sgx.Thread) error { return nil }); err != nil {
-		t.Fatalf("warm ServeRequest: %v", err)
+	if _, err := inst.Serve(context.Background(), nil, 40, 80, nopCall); err != nil {
+		t.Fatalf("warm Serve: %v", err)
 	}
 	before := inst.Stats()
-	if _, err := inst.ServeRequest(context.Background(), 40, 80, func(*sgx.Thread) error { return nil }); err != nil {
-		t.Fatalf("ServeRequest: %v", err)
+	if _, err := inst.Serve(context.Background(), nil, 40, 80, nopCall); err != nil {
+		t.Fatalf("Serve: %v", err)
 	}
 	d := inst.Stats().Sub(before)
 	if d.EENTER != 0 || d.EEXIT != 0 {
@@ -72,14 +72,14 @@ func TestExitlessInstanceServesWithoutTransitions(t *testing.T) {
 
 func TestWithSyscallProfileOverride(t *testing.T) {
 	inst := launchWith(t, DefaultManifest("/app/eudm-aka"), WithSyscallProfile(UserTCPSyscallProfile()))
-	if _, err := inst.ServeRequest(context.Background(), 40, 80, func(*sgx.Thread) error { return nil }); err != nil {
-		t.Fatalf("warm ServeRequest: %v", err)
+	if _, err := inst.Serve(context.Background(), nil, 40, 80, nopCall); err != nil {
+		t.Fatalf("warm Serve: %v", err)
 	}
 	before := inst.Stats()
 	var acct simclock.Account
-	if _, err := inst.ServeRequest(simclock.WithAccount(context.Background(), &acct), 40, 80,
-		func(*sgx.Thread) error { return nil }); err != nil {
-		t.Fatalf("ServeRequest: %v", err)
+	if _, err := inst.Serve(simclock.WithAccount(context.Background(), &acct), nil, 40, 80,
+		nopCall); err != nil {
+		t.Fatalf("Serve: %v", err)
 	}
 	d := inst.Stats().Sub(before)
 	if d.OCALLs > uint64(UserTCPSyscallProfile().Total()+4) {
@@ -114,16 +114,16 @@ func BenchmarkServeRequest(b *testing.B) {
 		b.Fatalf("Launch: %v", err)
 	}
 	defer inst.Shutdown()
-	if _, err := inst.ServeRequest(context.Background(), 40, 80, func(*sgx.Thread) error { return nil }); err != nil {
+	if _, err := inst.Serve(context.Background(), nil, 40, 80, nopCall); err != nil {
 		b.Fatalf("warm: %v", err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := inst.ServeRequest(context.Background(), 40, 80, func(th *sgx.Thread) error {
+		if _, err := inst.Serve(context.Background(), nil, 40, 80, callFunc(func(th Exec) error {
 			th.Compute(100_000)
 			return nil
-		}); err != nil {
+		})); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -238,11 +238,11 @@ func TestServeRequestTransitionBudget(t *testing.T) {
 		before := inst.Stats()
 		var acct simclock.Account
 		ctx := simclock.WithAccount(context.Background(), &acct)
-		if _, err := inst.ServeRequest(ctx, 40, 80, func(th *sgx.Thread) error {
+		if _, err := inst.Serve(ctx, nil, 40, 80, callFunc(func(th Exec) error {
 			th.Compute(100_000)
 			return nil
-		}); err != nil {
-			t.Fatalf("ServeRequest: %v", err)
+		})); err != nil {
+			t.Fatalf("Serve: %v", err)
 		}
 		return inst.Stats().Sub(before)
 	}
@@ -270,18 +270,18 @@ func TestServeRequestBreakdownOrdering(t *testing.T) {
 	defer inst.Shutdown()
 
 	var warm simclock.Account
-	if _, err := inst.ServeRequest(simclock.WithAccount(context.Background(), &warm), 40, 80,
-		func(*sgx.Thread) error { return nil }); err != nil {
+	if _, err := inst.Serve(simclock.WithAccount(context.Background(), &warm), nil, 40, 80,
+		nopCall); err != nil {
 		t.Fatalf("warmup: %v", err)
 	}
 
 	var acct simclock.Account
-	bd, err := inst.ServeRequest(simclock.WithAccount(context.Background(), &acct), 40, 80, func(th *sgx.Thread) error {
+	bd, err := inst.Serve(simclock.WithAccount(context.Background(), &acct), nil, 40, 80, callFunc(func(th Exec) error {
 		th.Compute(100_000)
 		return nil
-	})
+	}))
 	if err != nil {
-		t.Fatalf("ServeRequest: %v", err)
+		t.Fatalf("Serve: %v", err)
 	}
 	if bd.Functional == 0 || bd.Total == 0 || bd.ServerSide == 0 {
 		t.Fatalf("zero windows: %+v", bd)
@@ -304,10 +304,10 @@ func TestServeRequestInitialMuchSlower(t *testing.T) {
 
 	serve := func() simclock.Cycles {
 		var acct simclock.Account
-		bd, err := inst.ServeRequest(simclock.WithAccount(context.Background(), &acct), 40, 80,
-			func(th *sgx.Thread) error { th.Compute(100_000); return nil })
+		bd, err := inst.Serve(simclock.WithAccount(context.Background(), &acct), nil, 40, 80,
+			callFunc(func(th Exec) error { th.Compute(100_000); return nil }))
 		if err != nil {
-			t.Fatalf("ServeRequest: %v", err)
+			t.Fatalf("Serve: %v", err)
 		}
 		return bd.ServerSide
 	}
@@ -331,7 +331,7 @@ func TestServeRequestHandlerError(t *testing.T) {
 	}
 	defer inst.Shutdown()
 	sentinel := errors.New("handler failed")
-	if _, err := inst.ServeRequest(context.Background(), 1, 1, func(*sgx.Thread) error { return sentinel }); !errors.Is(err, sentinel) {
+	if _, err := inst.Serve(context.Background(), nil, 1, 1, callFunc(func(th Exec) error { return sentinel })); !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
 	}
 }
@@ -344,8 +344,8 @@ func TestShutdownIdempotentAndRejectsServe(t *testing.T) {
 	}
 	inst.Shutdown()
 	inst.Shutdown()
-	if _, err := inst.ServeRequest(context.Background(), 1, 1, func(*sgx.Thread) error { return nil }); !errors.Is(err, ErrNotRunning) {
-		t.Fatalf("ServeRequest after shutdown = %v, want ErrNotRunning", err)
+	if _, err := inst.Serve(context.Background(), nil, 1, 1, nopCall); !errors.Is(err, ErrNotRunning) {
+		t.Fatalf("Serve after shutdown = %v, want ErrNotRunning", err)
 	}
 	if p.EPCInUse() != 0 {
 		t.Fatalf("EPC not released: %d", p.EPCInUse())
@@ -374,8 +374,8 @@ func TestTableIIIShapeEmptyVsServer(t *testing.T) {
 	}
 
 	for i := 0; i < 1; i++ {
-		if _, err := inst.ServeRequest(context.Background(), 40, 80, func(*sgx.Thread) error { return nil }); err != nil {
-			t.Fatalf("ServeRequest: %v", err)
+		if _, err := inst.Serve(context.Background(), nil, 40, 80, nopCall); err != nil {
+			t.Fatalf("Serve: %v", err)
 		}
 	}
 	s = inst.Stats()

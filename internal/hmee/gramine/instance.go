@@ -12,12 +12,8 @@ import (
 )
 
 // Instance lifecycle errors.
-var (
-	// ErrNotRunning reports use of a stopped instance.
-	ErrNotRunning = errors.New("gramine: instance not running")
-	// ErrSessionClosed reports a request on a closed keep-alive session.
-	ErrSessionClosed = errors.New("gramine: session closed")
-)
+// ErrNotRunning reports use of a stopped instance.
+var ErrNotRunning = errors.New("gramine: instance not running")
 
 // SyscallProfile is the per-request syscall census of the module's HTTPS
 // server. Under Gramine every syscall is proxied through an OCALL, so
@@ -110,9 +106,8 @@ type Instance struct {
 	ring       *sgx.Ring
 	dispatcher *sgx.Thread
 
-	mu      sync.Mutex
-	running bool
-	warm    bool
+	// Server serves requests through the instance's request body.
+	*Server
 }
 
 // LaunchOption tunes instance bring-up.
@@ -160,8 +155,8 @@ func Launch(ctx context.Context, p *sgx.Platform, si *ShieldedImage, opts ...Lau
 		enclave:  enclave,
 		syscalls: DefaultSyscallProfile(),
 		exitless: si.Manifest.Exitless,
-		running:  true,
 	}
+	inst.Server = NewServer(inst.serve, ErrNotRunning)
 	if lc.syscalls != nil {
 		inst.syscalls = *lc.syscalls
 	}
@@ -251,558 +246,245 @@ func (i *Instance) RingStats() sgx.RingStats {
 	return i.ring.Stats()
 }
 
-// Warm reports whether the first request has been served.
-func (i *Instance) Warm() bool {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.warm
+// crossing is how a call reaches the code inside the enclave.
+type crossing uint8
+
+const (
+	// crossResident runs on the resident process thread the request
+	// already occupies: the in-enclave server's classic path, whose
+	// proxied syscalls are full OCALLs (exitless on exitless instances).
+	crossResident crossing = iota
+	// crossECall enters through a fresh ECALL on a spare TCS: one
+	// EENTER/EEXIT pair for the whole call (DoBatch).
+	crossECall
+	// crossRing submits the call into the switchless ring: it runs on the
+	// dispatcher's TCS and never leaves the enclave, so every proxied
+	// syscall takes the exitless handoff.
+	crossRing
+)
+
+// crossing picks the ring when the instance has one and the call opted in
+// (sgx.WithSwitchless), otherwise the classic crossing.
+func (i *Instance) crossing(switchless bool, classic crossing) crossing {
+	if i.ring != nil && switchless {
+		return crossRing
+	}
+	return classic
 }
 
-// ServeRequest runs one HTTPS request through the in-enclave server: the
-// pre-request syscall machinery, TLS and HTTP processing, the handler
-// itself, the response path, and the post-request machinery. The handler
-// receives the in-enclave thread to charge its own compute and memory
-// touches; any real work (the actual AKA crypto) runs inside it.
+// serve is the instance's request body (its Server's ServeFunc): it runs
+// the phases across the call's crossing — for a session, the one fixed
+// at open.
 //
-// Costs are charged to the account carried by ctx, which must be dedicated
-// to this request for the returned Breakdown windows to be meaningful.
-func (i *Instance) ServeRequest(ctx context.Context, inBytes, outBytes int, handler func(*sgx.Thread) error) (Breakdown, error) {
-	i.mu.Lock()
-	if !i.running {
-		i.mu.Unlock()
-		return Breakdown{}, ErrNotRunning
+//shieldlint:hotpath
+func (i *Instance) serve(ctx context.Context, s *Session, ph Phases, inBytes, outBytes int, call Call) (Breakdown, error) {
+	switchless := sgx.SwitchlessFrom(ctx)
+	if s != nil {
+		switchless = s.switchless
 	}
-	first := !i.warm
-	i.warm = true
-	i.mu.Unlock()
+	return i.run(ctx, ph, i.crossing(switchless, crossResident), inBytes, outBytes, call)
+}
 
-	p := i.platform
-	m := p.Model()
-	acct := simclock.AccountFrom(ctx)
-	// Bind a pooled request thread to this request's account and (in
-	// parallel mode) its per-worker jitter stream.
-	th := i.reqThread(ctx, acct)
-	defer putThread(th)
+// Do runs call on the resident in-enclave process thread outside the
+// request path — used for provisioning secrets into the enclave and other
+// maintenance that should not be measured as a served request.
+func (i *Instance) Do(ctx context.Context, call Call) error {
+	if err := i.Live(); err != nil {
+		return err
+	}
+	// Pin the request account the way Serve does: maintenance work
+	// (secret provisioning, AV pool refills) must stay visible to the
+	// caller's account even when nested code re-derives it from ctx.
+	ctx = simclock.WithAccount(ctx, simclock.AccountFrom(ctx))
+	_, err := i.run(ctx, 0, crossResident, 0, 0, call)
+	return err
+}
+
+// DoBatch runs call in one crossing instead of on the resident request
+// path: a batch of K AV generations charges K× the crypto but at most one
+// EENTER/EEXIT transition pair, with argBytes/retBytes shielded across
+// the boundary once for the whole batch.
+//
+// Classically the crossing is one fresh ECALL, which needs a free TCS
+// slot beyond the resident threads (Manifest.MaxThreads ≥
+// HelperThreads+2); acquisition queues, honouring ctx cancellation, so
+// concurrent refills serialise on the spare slot instead of failing. When
+// ctx opted into the instance's switchless ring the batch crosses through
+// the ring instead: the same shield cost, but no transition pair and no
+// spare slot.
+func (i *Instance) DoBatch(ctx context.Context, argBytes, retBytes int, call Call) error {
+	if err := i.Live(); err != nil {
+		return err
+	}
+	ctx = simclock.WithAccount(ctx, simclock.AccountFrom(ctx))
+	_, err := i.run(ctx, 0, i.crossing(sgx.SwitchlessFrom(ctx), crossECall), argBytes, retBytes, call)
+	return err
+}
+
+// threadPool recycles the per-request sgx.Thread bindings every call
+// mints: calls are synchronous and never retain the thread, so one pooled
+// binding per in-flight call replaces one heap allocation per served
+// request on the hot path.
+var threadPool = sync.Pool{New: func() any { return new(sgx.Thread) }}
+
+// jobPool recycles the call bindings run hands to its crossing; a ring
+// submission carries one behind the sgx.RingJob interface, so the
+// steady-state ring path allocates nothing either.
+var jobPool = sync.Pool{New: func() any { return new(job) }}
+
+// job is one call bound to its request: the phases of the server body it
+// runs (none for Do/DoBatch) and the crossing that reaches the enclave.
+// Every entry point runs through it, whichever the crossing.
+type job struct {
+	inst  *Instance
+	ctx   context.Context
+	acct  *simclock.Account
+	ph    Phases
+	cross crossing
+	// in and out are the request and response bytes of a served request,
+	// or the argument and result bytes of a batch.
+	in, out int
+	call    Call
+	bd      Breakdown
+}
+
+// run binds a pooled job and sends it across the chosen crossing.
+//
+//shieldlint:hotpath
+func (i *Instance) run(ctx context.Context, ph Phases, cross crossing, in, out int, call Call) (Breakdown, error) {
+	j := jobPool.Get().(*job)
+	*j = job{inst: i, ctx: ctx, acct: simclock.AccountFrom(ctx), ph: ph, cross: cross, in: in, out: out, call: call}
+	var err error
+	switch cross {
+	case crossRing:
+		err = i.ring.Submit(ctx, j)
+	case crossECall:
+		err = i.enclave.ECall(ctx, in, out, j.Execute)
+	default:
+		err = j.Execute(i.proc)
+	}
+	bd := j.bd
+	*j = job{}
+	jobPool.Put(j)
+	return bd, err
+}
+
+// Execute runs the job on a pooled thread bound to the submitting
+// request's account and jitter stream, whichever thread t carried it in
+// (the resident process thread, a fresh ECALL's or the ring
+// dispatcher's).
+//
+//shieldlint:hotpath
+func (j *job) Execute(t *sgx.Thread) error {
+	th := threadPool.Get().(*sgx.Thread)
+	defer threadPool.Put(th)
+	t.BindRequest(j.ctx, j.acct, th)
+	if j.ph == 0 {
+		if j.cross == crossRing {
+			// The batch buffers cross through shared memory.
+			th.ShieldTransfer(j.in, j.out)
+		}
+		return j.call.Run(th)
+	}
+	var err error
+	j.bd, err = j.request(th)
+	return err
+}
+
+// request is the in-enclave server's one request body: the warm-up, the
+// handshake, the Pre machinery, the request census and the Post
+// machinery, each run when the job's phase set holds it, in that order
+// (the handshake moves after Pre for a session open).
+//
+//shieldlint:hotpath
+func (j *job) request(th *sgx.Thread) (Breakdown, error) {
+	i := j.inst
+	m := i.platform.Model()
+	ring := j.cross == crossRing
+	acct := j.acct
 	start := acct.Total()
 
-	if first {
+	if j.ph&PhaseWarmup != 0 {
 		// Lazy loading of network-stack dependencies: a few OCALLs and
 		// the in-enclave verification of the lazily-read trusted files.
+		// The loader's OCALLs leave the enclave even on exitless
+		// instances; only the ring keeps them inside.
 		for k := 0; k < warmupOCALLs; k++ {
-			th.OCall(m.SyscallNative, 64, 64)
+			if ring {
+				th.OCallExitless(m.SyscallNative, 64, 64)
+			} else {
+				th.OCall(m.SyscallNative, 64, 64)
+			}
 		}
 		th.Compute(simclock.Cycles(warmupVerifyBytes) * m.TrustedFileHashPerByte)
-		// The server-side TLS handshake for the first connection.
+	}
+	handshake := j.ph&PhaseHandshake != 0
+	if handshake && j.ph.HandshakeFirst() {
 		th.Compute(m.TLSHandshakeServer)
 	}
 
-	jig := int(simclock.JitterFrom(ctx, p.Jitter()).Uint64n(3))
-	for k := 0; k < i.syscalls.Pre+jig; k++ {
-		i.ocall(th, m.SyscallNative, 16, 16)
+	n := 0
+	if j.ph&PhasePre != 0 {
+		n = i.syscalls.Pre
+	}
+	if j.ph&PhaseRequest != 0 {
+		// The Pre variation of a one-shot, the keep-alive readiness
+		// wake-ups of a session: both draw from the same jitter position.
+		n += int(simclock.JitterFrom(j.ctx, i.platform.Jitter()).Uint64n(3))
+	}
+	for k := 0; k < n; k++ {
+		i.ocall(ring, th, m.SyscallNative, 16, 16)
+	}
+	if handshake && !j.ph.HandshakeFirst() {
+		th.Compute(m.TLSHandshakeServer)
 	}
 
-	functional, total, err := i.requestCensus(th, acct, inBytes, outBytes, handler, false)
+	var bd Breakdown
+	var err error
+	if j.ph&PhaseRequest != 0 {
+		sp := i.syscalls
+		totalStart := acct.Total()
+		for k := 0; k < sp.Read; k++ {
+			i.ocall(ring, th, m.SyscallNative, 0, j.in/sp.Read+1)
+		}
+		th.Compute(m.TLSRecordCost(j.in) + m.HTTPCost(j.in))
+		th.Touch(uint64(j.in))
 
-	for k := 0; k < i.syscalls.Post; k++ {
-		i.ocall(th, m.SyscallNative, 16, 16)
+		fnStart := acct.Total()
+		for k := 0; k < sp.InHandler; k++ {
+			i.ocall(ring, th, m.SyscallNative, 8, 8)
+		}
+		err = j.call.Run(th)
+		bd.Functional = acct.Total() - fnStart
+
+		th.Compute(m.HTTPCost(j.out) + m.TLSRecordCost(j.out))
+		th.Touch(uint64(j.out))
+		for k := 0; k < sp.Write; k++ {
+			i.ocall(ring, th, m.SyscallNative, j.out/sp.Write+1, 0)
+		}
+		bd.Total = acct.Total() - totalStart
 	}
 
-	return Breakdown{
-		Functional: functional,
-		Total:      total,
-		ServerSide: acct.Total() - start,
-	}, err
+	if j.ph&PhasePost != 0 {
+		for k := 0; k < i.syscalls.Post; k++ {
+			i.ocall(ring, th, m.SyscallNative, 16, 16)
+		}
+	}
+	bd.ServerSide = acct.Total() - start
+	return bd, err
 }
 
-// ServeRequestSwitchless is ServeRequest routed through the submission
-// ring when ctx negotiated it; otherwise it falls back to the classic
-// path. The ring route lives in its own entry point — not a branch inside
-// ServeRequest — because submitting stores the handler in a pooled job,
-// and Go's escape analysis would then charge every classic caller a
-// heap-allocated closure for a path it never takes.
-func (i *Instance) ServeRequestSwitchless(ctx context.Context, inBytes, outBytes int, handler func(*sgx.Thread) error) (Breakdown, error) {
-	if i.ring == nil || !sgx.SwitchlessFrom(ctx) {
-		return i.ServeRequest(ctx, inBytes, outBytes, handler)
-	}
-	i.mu.Lock()
-	if !i.running {
-		i.mu.Unlock()
-		return Breakdown{}, ErrNotRunning
-	}
-	first := !i.warm
-	i.warm = true
-	i.mu.Unlock()
-	return i.serveViaRing(ctx, inBytes, outBytes, handler, first, true, true)
-}
-
-// threadPool recycles the per-request sgx.Thread bindings that
-// ServeRequest, ServeOnSession, OpenSession and Close mint: handlers are
-// synchronous and never retain the thread, so one pooled binding per
-// in-flight request replaces one heap allocation per served request on the
-// keep-alive hot path.
-var threadPool = sync.Pool{New: func() any { return new(sgx.Thread) }}
-
-// reqThread binds a pooled thread to this request's account and ctx's
-// jitter stream; release it with putThread when the request completes.
+// ocall issues one proxied syscall on th: through the exitless handoff
+// when the request rides the ring (it must never leave the enclave) or
+// the instance is exitless, otherwise a full EEXIT/EENTER transition pair.
 //
 //shieldlint:hotpath
-func (i *Instance) reqThread(ctx context.Context, acct *simclock.Account) *sgx.Thread {
-	th := threadPool.Get().(*sgx.Thread)
-	i.proc.BindRequest(ctx, acct, th)
-	return th
-}
-
-func putThread(th *sgx.Thread) { threadPool.Put(th) }
-
-// ocall issues one proxied syscall on th: through the exitless ring when
-// enabled, otherwise a full EEXIT/EENTER transition pair.
-//
-//shieldlint:hotpath
-func (i *Instance) ocall(th *sgx.Thread, untrusted simclock.Cycles, out, in int) {
-	i.ocallVia(false, th, untrusted, out, in)
-}
-
-// ocallVia is ocall with an explicit routing decision: a request served on
-// the switchless dispatcher (viaRing) must never leave the enclave, so its
-// proxied syscalls always take the exitless handoff regardless of the
-// instance-wide exitless setting.
-//
-//shieldlint:hotpath
-func (i *Instance) ocallVia(viaRing bool, th *sgx.Thread, untrusted simclock.Cycles, out, in int) {
-	if viaRing || i.exitless {
+func (i *Instance) ocall(ring bool, th *sgx.Thread, untrusted simclock.Cycles, out, in int) {
+	if ring || i.exitless {
 		th.OCallExitless(untrusted, out, in)
 	} else {
 		th.OCall(untrusted, out, in)
 	}
-}
-
-// requestCensus charges the per-request half of the syscall census — the
-// request reads, TLS and HTTP processing, the handler window, and the
-// response path — and returns the L_F and L_T windows. ServeRequest and
-// ServeOnSession share it so their charge order stays literally
-// identical; only the connection-scoped Pre/Post machinery around it
-// differs between the two paths.
-func (i *Instance) requestCensus(th *sgx.Thread, acct *simclock.Account, inBytes, outBytes int, handler func(*sgx.Thread) error, viaRing bool) (functional, total simclock.Cycles, err error) {
-	m := i.platform.Model()
-
-	totalStart := acct.Total()
-	for k := 0; k < i.syscalls.Read; k++ {
-		i.ocallVia(viaRing, th, m.SyscallNative, 0, inBytes/i.syscalls.Read+1)
-	}
-	th.Compute(m.TLSRecordCost(inBytes) + m.HTTPCost(inBytes))
-	th.Touch(uint64(inBytes))
-
-	fnStart := acct.Total()
-	for k := 0; k < i.syscalls.InHandler; k++ {
-		i.ocallVia(viaRing, th, m.SyscallNative, 8, 8)
-	}
-	err = handler(th)
-	fnEnd := acct.Total()
-
-	th.Compute(m.HTTPCost(outBytes) + m.TLSRecordCost(outBytes))
-	th.Touch(uint64(outBytes))
-	for k := 0; k < i.syscalls.Write; k++ {
-		i.ocallVia(viaRing, th, m.SyscallNative, outBytes/i.syscalls.Write+1, 0)
-	}
-	totalEnd := acct.Total()
-	return fnEnd - fnStart, totalEnd - totalStart, err
-}
-
-// Pooled switchless job structs: submissions carry no closures, so the
-// steady-state ring path stays inside the hot-path allocation budget.
-var (
-	serveJobPool   = sync.Pool{New: func() any { return new(ringServeJob) }}
-	sessionJobPool = sync.Pool{New: func() any { return new(ringSessionJob) }}
-	fnJobPool      = sync.Pool{New: func() any { return new(ringFnJob) }}
-)
-
-// ringServeJob serves one request on the switchless dispatcher: the same
-// census ServeRequest/ServeOnSession charge, with every proxied syscall
-// taking the exitless handoff — the request crosses the boundary with zero
-// EENTER/EEXIT.
-type ringServeJob struct {
-	inst              *Instance
-	ctx               context.Context
-	acct              *simclock.Account
-	inBytes, outBytes int
-	handler           func(*sgx.Thread) error
-	first, pre, post  bool
-	bd                Breakdown
-}
-
-// Execute runs on the dispatcher's resident thread; costs land on the
-// submitting request's account and jitter stream.
-//
-//shieldlint:hotpath
-func (j *ringServeJob) Execute(*sgx.Thread) error {
-	i := j.inst
-	p := i.platform
-	m := p.Model()
-	acct := j.acct
-	th := i.reqThread(j.ctx, acct)
-	defer putThread(th)
-	start := acct.Total()
-
-	if j.first {
-		for k := 0; k < warmupOCALLs; k++ {
-			th.OCallExitless(m.SyscallNative, 64, 64)
-		}
-		th.Compute(simclock.Cycles(warmupVerifyBytes) * m.TrustedFileHashPerByte)
-		th.Compute(m.TLSHandshakeServer)
-	}
-
-	jig := int(simclock.JitterFrom(j.ctx, p.Jitter()).Uint64n(3))
-	n := jig
-	if j.pre {
-		n += i.syscalls.Pre
-	}
-	for k := 0; k < n; k++ {
-		i.ocallVia(true, th, m.SyscallNative, 16, 16)
-	}
-
-	functional, total, err := i.requestCensus(th, acct, j.inBytes, j.outBytes, j.handler, true)
-
-	if j.post {
-		for k := 0; k < i.syscalls.Post; k++ {
-			i.ocallVia(true, th, m.SyscallNative, 16, 16)
-		}
-	}
-	j.bd = Breakdown{
-		Functional: functional,
-		Total:      total,
-		ServerSide: acct.Total() - start,
-	}
-	return err
-}
-
-// serveViaRing submits one request into the switchless ring and blocks for
-// its completion. pre/post select whether the connection-scoped Pre/Post
-// machinery runs (a plain request) or is amortized by a session.
-//
-//shieldlint:hotpath
-func (i *Instance) serveViaRing(ctx context.Context, inBytes, outBytes int, handler func(*sgx.Thread) error, first, pre, post bool) (Breakdown, error) {
-	j := serveJobPool.Get().(*ringServeJob)
-	j.inst, j.ctx, j.acct = i, ctx, simclock.AccountFrom(ctx)
-	j.inBytes, j.outBytes, j.handler = inBytes, outBytes, handler
-	j.first, j.pre, j.post = first, pre, post
-	err := i.ring.Submit(ctx, j)
-	bd := j.bd
-	*j = ringServeJob{}
-	serveJobPool.Put(j)
-	return bd, err
-}
-
-// ringSessionJob runs the connection-scoped half of a switchless session:
-// the accept/Pre machinery plus TLS handshake on open, the Post teardown
-// on close.
-type ringSessionJob struct {
-	inst  *Instance
-	ctx   context.Context
-	first bool
-	open  bool
-}
-
-//shieldlint:hotpath
-func (j *ringSessionJob) Execute(*sgx.Thread) error {
-	i := j.inst
-	m := i.platform.Model()
-	th := i.reqThread(j.ctx, simclock.AccountFrom(j.ctx))
-	defer putThread(th)
-	if j.open {
-		if j.first {
-			for k := 0; k < warmupOCALLs; k++ {
-				th.OCallExitless(m.SyscallNative, 64, 64)
-			}
-			th.Compute(simclock.Cycles(warmupVerifyBytes) * m.TrustedFileHashPerByte)
-		}
-		for k := 0; k < i.syscalls.Pre; k++ {
-			i.ocallVia(true, th, m.SyscallNative, 16, 16)
-		}
-		th.Compute(m.TLSHandshakeServer)
-		return nil
-	}
-	for k := 0; k < i.syscalls.Post; k++ {
-		i.ocallVia(true, th, m.SyscallNative, 16, 16)
-	}
-	return nil
-}
-
-// sessionViaRing submits a session open (accept machinery + handshake) or
-// close (teardown) into the ring.
-func (i *Instance) sessionViaRing(ctx context.Context, first, open bool) error {
-	j := sessionJobPool.Get().(*ringSessionJob)
-	j.inst, j.ctx, j.first, j.open = i, ctx, first, open
-	err := i.ring.Submit(ctx, j)
-	*j = ringSessionJob{}
-	sessionJobPool.Put(j)
-	return err
-}
-
-// ringFnJob runs a batch entry (DoBatch) on the dispatcher: the batch
-// buffers cross through shared memory (shield cost, no transitions) and fn
-// executes on a thread bound to the submitting request.
-type ringFnJob struct {
-	inst               *Instance
-	ctx                context.Context
-	argBytes, retBytes int
-	fn                 func(*sgx.Thread) error
-}
-
-//shieldlint:hotpath
-func (j *ringFnJob) Execute(*sgx.Thread) error {
-	i := j.inst
-	th := i.reqThread(j.ctx, simclock.AccountFrom(j.ctx))
-	defer putThread(th)
-	th.ShieldTransfer(j.argBytes, j.retBytes)
-	return j.fn(th)
-}
-
-// Session is one persistent keep-alive connection into the in-enclave
-// HTTPS server. The connection-scoped machinery — the accept/epoll/futex
-// Pre census and the server-side TLS handshake — is paid once at
-// OpenSession and the Post teardown once at Close, so pipelined requests
-// served through ServeOnSession pay only the per-request census. A batch
-// of B requests thus spreads the Pre+Post OCALLs (81 transition pairs
-// under the default profile) over B requests.
-type Session struct {
-	inst *Instance
-	// switchless records the connection's negotiated routing: a session
-	// opened through the submission ring serves and closes through it
-	// too, so one connection's census never mixes the two boundary
-	// disciplines.
-	switchless bool
-	mu         sync.Mutex
-	open       bool
-}
-
-// OpenSession accepts one persistent client connection: the pre-request
-// accept machinery and the server-side TLS handshake, charged to ctx's
-// account once for the whole session. The first connection ever accepted
-// also pays the lazy warm-up the first ServeRequest would pay.
-func (i *Instance) OpenSession(ctx context.Context) (*Session, error) {
-	i.mu.Lock()
-	if !i.running {
-		i.mu.Unlock()
-		return nil, ErrNotRunning
-	}
-	first := !i.warm
-	i.warm = true
-	i.mu.Unlock()
-
-	if i.ring != nil && sgx.SwitchlessFrom(ctx) {
-		if err := i.sessionViaRing(ctx, first, true); err != nil {
-			return nil, err
-		}
-		return &Session{inst: i, open: true, switchless: true}, nil
-	}
-
-	m := i.platform.Model()
-	th := i.reqThread(ctx, simclock.AccountFrom(ctx))
-	defer putThread(th)
-
-	if first {
-		for k := 0; k < warmupOCALLs; k++ {
-			th.OCall(m.SyscallNative, 64, 64)
-		}
-		th.Compute(simclock.Cycles(warmupVerifyBytes) * m.TrustedFileHashPerByte)
-	}
-
-	for k := 0; k < i.syscalls.Pre; k++ {
-		i.ocall(th, m.SyscallNative, 16, 16)
-	}
-	th.Compute(m.TLSHandshakeServer)
-	return &Session{inst: i, open: true}, nil
-}
-
-// ServeOnSession runs one pipelined request on an open session. The L_F
-// and L_T Breakdown windows are bit-identical to a warm ServeRequest
-// under the same jitter stream; ServerSide omits exactly the amortized
-// Pre/Post machinery. The keep-alive readiness wake-ups (0–2 extra
-// OCALLs deciding the connection has another request queued) are drawn
-// from the same jitter position ServeRequest uses for its Pre variation,
-// keeping the two paths' stochastic draws aligned.
-func (i *Instance) ServeOnSession(ctx context.Context, s *Session, inBytes, outBytes int, handler func(*sgx.Thread) error) (Breakdown, error) {
-	i.mu.Lock()
-	if !i.running {
-		i.mu.Unlock()
-		return Breakdown{}, ErrNotRunning
-	}
-	i.mu.Unlock()
-	if s == nil || s.inst != i {
-		return Breakdown{}, errors.New("gramine: session belongs to a different instance")
-	}
-	s.mu.Lock()
-	open := s.open
-	s.mu.Unlock()
-	if !open {
-		return Breakdown{}, ErrSessionClosed
-	}
-	if s.switchless {
-		// A connection negotiated onto the ring must never mix in classic
-		// serves — its census discipline was fixed at open.
-		return Breakdown{}, errors.New("gramine: switchless session must be served through ServeOnSessionSwitchless")
-	}
-
-	p := i.platform
-	m := p.Model()
-	acct := simclock.AccountFrom(ctx)
-	th := i.reqThread(ctx, acct)
-	defer putThread(th)
-	start := acct.Total()
-
-	jig := int(simclock.JitterFrom(ctx, p.Jitter()).Uint64n(3))
-	for k := 0; k < jig; k++ {
-		i.ocall(th, m.SyscallNative, 16, 16)
-	}
-
-	functional, total, err := i.requestCensus(th, acct, inBytes, outBytes, handler, false)
-	return Breakdown{
-		Functional: functional,
-		Total:      total,
-		ServerSide: acct.Total() - start,
-	}, err
-}
-
-// ServeOnSessionSwitchless serves a ring-negotiated session's pipelined
-// request through the submission ring; sessions opened classically fall
-// back to ServeOnSession. Split from ServeOnSession for the same
-// escape-analysis reason as ServeRequestSwitchless.
-func (i *Instance) ServeOnSessionSwitchless(ctx context.Context, s *Session, inBytes, outBytes int, handler func(*sgx.Thread) error) (Breakdown, error) {
-	if s == nil || !s.switchless || i.ring == nil {
-		return i.ServeOnSession(ctx, s, inBytes, outBytes, handler)
-	}
-	i.mu.Lock()
-	if !i.running {
-		i.mu.Unlock()
-		return Breakdown{}, ErrNotRunning
-	}
-	i.mu.Unlock()
-	if s.inst != i {
-		return Breakdown{}, errors.New("gramine: session belongs to a different instance")
-	}
-	s.mu.Lock()
-	open := s.open
-	s.mu.Unlock()
-	if !open {
-		return Breakdown{}, ErrSessionClosed
-	}
-	return i.serveViaRing(ctx, inBytes, outBytes, handler, false, false, false)
-}
-
-// Serve is shorthand for ServeOnSession on the owning instance.
-func (s *Session) Serve(ctx context.Context, inBytes, outBytes int, handler func(*sgx.Thread) error) (Breakdown, error) {
-	return s.inst.ServeOnSession(ctx, s, inBytes, outBytes, handler)
-}
-
-// ServeSwitchless is shorthand for ServeOnSessionSwitchless.
-func (s *Session) ServeSwitchless(ctx context.Context, inBytes, outBytes int, handler func(*sgx.Thread) error) (Breakdown, error) {
-	return s.inst.ServeOnSessionSwitchless(ctx, s, inBytes, outBytes, handler)
-}
-
-// Switchless reports whether the session was negotiated onto the
-// submission ring at open.
-func (s *Session) Switchless() bool { return s.switchless }
-
-// Close tears the session's connection down, paying the post-request
-// machinery once for the whole pipelined batch. Closing twice, or closing
-// after the instance shut down (the connection died with the enclave), is
-// a free no-op.
-func (s *Session) Close(ctx context.Context) error {
-	s.mu.Lock()
-	if !s.open {
-		s.mu.Unlock()
-		return nil
-	}
-	s.open = false
-	s.mu.Unlock()
-
-	i := s.inst
-	i.mu.Lock()
-	if !i.running {
-		i.mu.Unlock()
-		return nil
-	}
-	i.mu.Unlock()
-
-	if s.switchless && i.ring != nil {
-		// A ring that closed under us means the enclave is going down
-		// with the connection — the same free no-op as a dead instance.
-		if err := i.sessionViaRing(ctx, false, false); err != nil && !errors.Is(err, sgx.ErrRingClosed) {
-			return err
-		}
-		return nil
-	}
-
-	m := i.platform.Model()
-	th := i.reqThread(ctx, simclock.AccountFrom(ctx))
-	defer putThread(th)
-	for k := 0; k < i.syscalls.Post; k++ {
-		i.ocall(th, m.SyscallNative, 16, 16)
-	}
-	return nil
-}
-
-// Do runs fn on the resident in-enclave process thread outside the request
-// path — used for provisioning secrets into the enclave and other
-// maintenance that should not be measured as a served request.
-func (i *Instance) Do(ctx context.Context, fn func(*sgx.Thread) error) error {
-	i.mu.Lock()
-	if !i.running {
-		i.mu.Unlock()
-		return ErrNotRunning
-	}
-	i.mu.Unlock()
-	// Pin the request account the way ServeRequest does: maintenance work
-	// (secret provisioning, AV pool refills) must stay visible to the
-	// caller's account even when nested code re-derives it from ctx.
-	ctx = simclock.WithAccount(ctx, simclock.AccountFrom(ctx))
-	return fn(i.proc.WithRequest(ctx))
-}
-
-// DoBatch runs fn inside one fresh ECALL instead of on the resident
-// request path: a batch of K AV generations charges K× the crypto but
-// exactly one EENTER/EEXIT transition pair, with argBytes/retBytes
-// shielded across the boundary once for the whole batch. The entry needs
-// a free TCS slot beyond the resident threads (Manifest.MaxThreads ≥
-// HelperThreads+2); acquisition queues, honouring ctx cancellation, so
-// concurrent refills serialise on the spare slot instead of failing.
-func (i *Instance) DoBatch(ctx context.Context, argBytes, retBytes int, fn func(*sgx.Thread) error) error {
-	i.mu.Lock()
-	if !i.running {
-		i.mu.Unlock()
-		return ErrNotRunning
-	}
-	i.mu.Unlock()
-	ctx = simclock.WithAccount(ctx, simclock.AccountFrom(ctx))
-	return i.enclave.ECall(ctx, argBytes, retBytes, func(t *sgx.Thread) error {
-		return fn(t.WithRequest(ctx))
-	})
-}
-
-// DoBatchSwitchless crosses the batch through the submission ring instead
-// of a fresh ECALL: arguments and results still pay the shield cost, but
-// no transition pair and no spare TCS slot. Without a ring (or without the
-// ctx flag) it falls back to the classic DoBatch; the split keeps the
-// classic entry free of the pooled-job handler store (see
-// ServeRequestSwitchless).
-func (i *Instance) DoBatchSwitchless(ctx context.Context, argBytes, retBytes int, fn func(*sgx.Thread) error) error {
-	if i.ring == nil || !sgx.SwitchlessFrom(ctx) {
-		return i.DoBatch(ctx, argBytes, retBytes, fn)
-	}
-	i.mu.Lock()
-	if !i.running {
-		i.mu.Unlock()
-		return ErrNotRunning
-	}
-	i.mu.Unlock()
-	ctx = simclock.WithAccount(ctx, simclock.AccountFrom(ctx))
-	j := fnJobPool.Get().(*ringFnJob)
-	j.inst, j.ctx, j.fn = i, ctx, fn
-	j.argBytes, j.retBytes = argBytes, retBytes
-	err := i.ring.Submit(ctx, j)
-	*j = ringFnJob{}
-	fnJobPool.Put(j)
-	return err
 }
 
 // AccrueUptime models the instance staying deployed for d of virtual time
@@ -815,13 +497,9 @@ func (i *Instance) Stats() sgx.StatsSnapshot { return i.enclave.Stats() }
 // Shutdown leaves the resident threads and destroys the enclave. It is
 // idempotent.
 func (i *Instance) Shutdown() {
-	i.mu.Lock()
-	if !i.running {
-		i.mu.Unlock()
+	if !i.StopServing() {
 		return
 	}
-	i.running = false
-	i.mu.Unlock()
 
 	// The ring closes first so in-flight submissions drain (completed
 	// exactly once with ErrRingClosed) before the dispatcher's TCS is

@@ -9,6 +9,14 @@ import (
 	"shield5g/internal/simclock"
 )
 
+// callFunc adapts a test body to Call.
+type callFunc func(Exec) error
+
+func (f callFunc) Run(ex Exec) error { return f(ex) }
+
+// nopCall is a call that charges nothing.
+var nopCall = callFunc(func(Exec) error { return nil })
+
 func launchTest(t *testing.T) *Instance {
 	t.Helper()
 	inst, err := Launch(context.Background(), testPlatform(t), testShielded(t))
@@ -31,23 +39,23 @@ func measuredCtx(seed uint64) (context.Context, *simclock.Account) {
 
 // TestServeOnSessionGoldenBatchOfOne pins the amortization contract: a
 // warm request served on a keep-alive session is bit-identical to a warm
-// ServeRequest in its L_F and L_T windows, and its ServerSide omits
+// one-shot Serve in its L_F and L_T windows, and its ServerSide omits
 // exactly the Pre+Post machinery (81 proxied syscalls at 16 bytes each
 // way under the default profile), nothing more.
 func TestServeOnSessionGoldenBatchOfOne(t *testing.T) {
 	instA := launchTest(t)
 	instB := launchTest(t)
 
-	handler := func(th *sgx.Thread) error {
+	handler := callFunc(func(th Exec) error {
 		th.Compute(150_000)
 		th.Touch(4096)
 		return nil
-	}
+	})
 
 	// Warm both instances so neither measured request pays the lazy
 	// warm-up; B's session also absorbs the per-connection handshake.
-	if _, err := instA.ServeRequest(context.Background(), 40, 80, handler); err != nil {
-		t.Fatalf("warm ServeRequest: %v", err)
+	if _, err := instA.Serve(context.Background(), nil, 40, 80, handler); err != nil {
+		t.Fatalf("warm Serve: %v", err)
 	}
 	sess, err := instB.OpenSession(context.Background())
 	if err != nil {
@@ -55,21 +63,21 @@ func TestServeOnSessionGoldenBatchOfOne(t *testing.T) {
 	}
 
 	ctxA, acctA := measuredCtx(99)
-	bdA, err := instA.ServeRequest(ctxA, 40, 80, handler)
+	bdA, err := instA.Serve(ctxA, nil, 40, 80, handler)
 	if err != nil {
-		t.Fatalf("measured ServeRequest: %v", err)
+		t.Fatalf("measured Serve: %v", err)
 	}
 	ctxB, acctB := measuredCtx(99)
-	bdB, err := sess.Serve(ctxB, 40, 80, handler)
+	bdB, err := instB.Serve(ctxB, sess, 40, 80, handler)
 	if err != nil {
-		t.Fatalf("measured ServeOnSession: %v", err)
+		t.Fatalf("measured session Serve: %v", err)
 	}
 
 	if bdA.Functional != bdB.Functional {
-		t.Errorf("Functional: ServeRequest %d != session %d", bdA.Functional, bdB.Functional)
+		t.Errorf("Functional: one-shot %d != session %d", bdA.Functional, bdB.Functional)
 	}
 	if bdA.Total != bdB.Total {
-		t.Errorf("Total: ServeRequest %d != session %d", bdA.Total, bdB.Total)
+		t.Errorf("Total: one-shot %d != session %d", bdA.Total, bdB.Total)
 	}
 
 	m := instA.platform.Model()
@@ -93,16 +101,16 @@ func TestServeOnSessionGoldenBatchOfOne(t *testing.T) {
 func TestSessionAmortizesTransitions(t *testing.T) {
 	inst := launchTest(t)
 	ctx := context.Background()
-	handler := func(th *sgx.Thread) error { th.Compute(100_000); return nil }
-	if _, err := inst.ServeRequest(ctx, 40, 80, handler); err != nil {
+	handler := callFunc(func(th Exec) error { th.Compute(100_000); return nil })
+	if _, err := inst.Serve(ctx, nil, 40, 80, handler); err != nil {
 		t.Fatalf("warm: %v", err)
 	}
 
 	const batch = 8
 	before := inst.Stats()
 	for k := 0; k < batch; k++ {
-		if _, err := inst.ServeRequest(ctx, 40, 80, handler); err != nil {
-			t.Fatalf("ServeRequest %d: %v", k, err)
+		if _, err := inst.Serve(ctx, nil, 40, 80, handler); err != nil {
+			t.Fatalf("Serve %d: %v", k, err)
 		}
 	}
 	cold := inst.Stats().Sub(before).EENTER
@@ -114,7 +122,7 @@ func TestSessionAmortizesTransitions(t *testing.T) {
 	before = inst.Stats()
 	for k := 0; k < batch; k++ {
 		reqBefore := inst.Stats()
-		if _, err := sess.Serve(ctx, 40, 80, handler); err != nil {
+		if _, err := inst.Serve(ctx, sess, 40, 80, handler); err != nil {
 			t.Fatalf("Serve %d: %v", k, err)
 		}
 		sp := inst.syscalls
@@ -150,7 +158,7 @@ func TestSessionClosedAndLifecycleErrors(t *testing.T) {
 	if err := sess.Close(ctx); err != nil {
 		t.Fatalf("double Close: %v", err)
 	}
-	if _, err := sess.Serve(ctx, 10, 10, func(*sgx.Thread) error { return nil }); !errors.Is(err, ErrSessionClosed) {
+	if _, err := inst.Serve(ctx, sess, 10, 10, nopCall); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("Serve on closed session = %v, want ErrSessionClosed", err)
 	}
 	inst.Shutdown()
@@ -161,17 +169,17 @@ func TestSessionClosedAndLifecycleErrors(t *testing.T) {
 
 // TestDoPinsCallerAccount pins the satellite fix: maintenance work run
 // through Do must be charged to the caller's account, same as
-// ServeRequest.
+// a one-shot Serve.
 func TestDoPinsCallerAccount(t *testing.T) {
 	inst := launchTest(t)
 	acct := &simclock.Account{}
 	ctx := simclock.WithAccount(context.Background(), acct)
 	before := inst.Stats()
-	err := inst.Do(ctx, func(th *sgx.Thread) error {
+	err := inst.Do(ctx, callFunc(func(th Exec) error {
 		th.Compute(250_000)
-		th.OCall(1_000, 16, 16)
+		th.(*sgx.Thread).OCall(1_000, 16, 16)
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatalf("Do: %v", err)
 	}
@@ -203,12 +211,12 @@ func TestDoBatchOneTransitionPair(t *testing.T) {
 	ctx := simclock.WithAccount(context.Background(), acct)
 	before := inst.Stats()
 	const k = 16
-	err = inst.DoBatch(ctx, k*64, k*128, func(th *sgx.Thread) error {
+	err = inst.DoBatch(ctx, k*64, k*128, callFunc(func(th Exec) error {
 		for j := 0; j < k; j++ {
 			th.Compute(50_000)
 		}
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatalf("DoBatch: %v", err)
 	}
@@ -221,7 +229,57 @@ func TestDoBatchOneTransitionPair(t *testing.T) {
 	}
 
 	inst.Shutdown()
-	if err := inst.DoBatch(ctx, 1, 1, func(*sgx.Thread) error { return nil }); !errors.Is(err, ErrNotRunning) {
+	if err := inst.DoBatch(ctx, 1, 1, nopCall); !errors.Is(err, ErrNotRunning) {
 		t.Fatalf("DoBatch after Shutdown = %v, want ErrNotRunning", err)
+	}
+}
+
+// TestSessionCrossingFixedAtOpen pins where a session's crossing is
+// chosen: at open, from the ctx opt-in. A session opened on the ring
+// serves and closes through it even when a later ctx lacks the opt-in,
+// and a session opened classically never touches the ring, whatever a
+// later ctx asks for.
+func TestSessionCrossingFixedAtOpen(t *testing.T) {
+	mf := DefaultManifest("/app/eudm-aka")
+	mf.SwitchlessECalls = true
+	mf.MaxThreads = HelperThreads + 2
+	inst := launchWith(t, mf)
+	plain := context.Background()
+	ring := sgx.WithSwitchless(plain)
+
+	submitted := func() uint64 { return inst.RingStats().Submitted }
+	onRing, err := inst.OpenSession(ring)
+	if err != nil {
+		t.Fatalf("OpenSession(ring): %v", err)
+	}
+	classic, err := inst.OpenSession(plain)
+	if err != nil {
+		t.Fatalf("OpenSession(classic): %v", err)
+	}
+	if got := submitted(); got != 1 {
+		t.Fatalf("ring submissions after one ring open = %d, want 1", got)
+	}
+
+	before := submitted()
+	if _, err := inst.Serve(plain, onRing, 40, 80, nopCall); err != nil {
+		t.Fatalf("Serve(ring session, classic ctx): %v", err)
+	}
+	if err := onRing.Close(plain); err != nil {
+		t.Fatalf("Close(ring session): %v", err)
+	}
+	if got := submitted() - before; got != 2 {
+		t.Fatalf("ring session serve+close made %d ring submissions, want 2", got)
+	}
+
+	before = submitted()
+	st := inst.Stats()
+	if _, err := inst.Serve(ring, classic, 40, 80, nopCall); err != nil {
+		t.Fatalf("Serve(classic session, ring ctx): %v", err)
+	}
+	if got := submitted() - before; got != 0 {
+		t.Fatalf("classic session serve rode the ring (%d submissions)", got)
+	}
+	if d := inst.Stats().Sub(st); d.EENTER == 0 {
+		t.Fatal("classic session serve made no OCALL transitions")
 	}
 }

@@ -81,9 +81,10 @@ type Machine struct {
 
 	vmExits atomic.Uint64
 
+	// Server serves requests through the machine's request body.
+	*gramine.Server
+
 	mu      sync.Mutex
-	running bool
-	warm    bool
 	secrets map[string][]byte
 	sealKey [32]byte
 }
@@ -110,9 +111,9 @@ func Launch(ctx context.Context, env *costmodel.Env, cfg Config) (*Machine, erro
 		signPriv: priv,
 		signPub:  pub,
 		syscalls: gramine.DefaultSyscallProfile(),
-		running:  true,
 		secrets:  make(map[string][]byte),
 	}
+	m.Server = gramine.NewServer(m.serve, ErrStopped)
 
 	h := sha256.New()
 	fmt.Fprintf(h, "sev-snp:%s:ram=%d:app=%d", cfg.Name, cfg.InitialRAMBytes, cfg.AppImageBytes)
@@ -144,15 +145,6 @@ func (m *Machine) TCBBytes() uint64 {
 
 // VMExits reports the accumulated VM exit count.
 func (m *Machine) VMExits() uint64 { return m.vmExits.Load() }
-
-func (m *Machine) live() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.running {
-		return ErrStopped
-	}
-	return nil
-}
 
 // Exec is the in-guest execution surface (compatible with the P-AKA
 // runtime contract).
@@ -194,18 +186,13 @@ func (e Exec) LoadSecret(name string) ([]byte, bool) {
 // Breakdown mirrors the Gramine runtime's latency windows.
 type Breakdown = gramine.Breakdown
 
-// ServeRequest runs one HTTPS request through the in-guest server: the
-// same syscall census as the container, served by the guest kernel at
-// native cost, plus the virtio VM exits at the device boundary.
-func (m *Machine) ServeRequest(ctx context.Context, inBytes, outBytes int, handler func(Exec) error) (Breakdown, error) {
-	if err := m.live(); err != nil {
-		return Breakdown{}, err
-	}
-	m.mu.Lock()
-	first := !m.warm
-	m.warm = true
-	m.mu.Unlock()
-
+// serve is the in-guest server's one request body (its Server's
+// ServeFunc), run phase by phase in the enclave runtime's order: the same
+// syscall census as the container, served by the guest kernel at native
+// cost, plus the virtio VM exits at the device boundary. Each request —
+// one-shot or pipelined on a keep-alive session — pays its own arrival
+// and departure exits.
+func (m *Machine) serve(ctx context.Context, _ *gramine.Session, ph gramine.Phases, inBytes, outBytes int, call gramine.Call) (Breakdown, error) {
 	env := m.env
 	model := env.Model
 	// Pin the request account so callers without one still get coherent
@@ -213,74 +200,74 @@ func (m *Machine) ServeRequest(ctx context.Context, inBytes, outBytes int, handl
 	acct := simclock.AccountFrom(ctx)
 	ctx = simclock.WithAccount(ctx, acct)
 	charge := func(n simclock.Cycles) { env.Charge(ctx, n) }
-	syscall := func(bytes int) {
-		charge(model.SyscallNative + simclock.Cycles(bytes)*model.CopyPerByte)
+	syscalls := func(n, bytes int) {
+		for k := 0; k < n; k++ {
+			charge(model.SyscallNative + simclock.Cycles(bytes)*model.CopyPerByte)
+		}
 	}
-	vmexit := func() {
-		m.vmExits.Add(1)
-		charge(vmExitCycles)
+	// Request arrival and response departure: virtio doorbell + interrupt
+	// injection.
+	vmexits := func() {
+		m.vmExits.Add(vmExitsPerRequest / 2)
+		charge(vmExitsPerRequest / 2 * vmExitCycles)
 	}
 	start := acct.Total()
+	request := ph&gramine.PhaseRequest != 0
 
-	if first {
+	if ph&gramine.PhaseWarmup != 0 {
 		charge(2_000_000) // lazy library loading inside the guest
+	}
+	handshake := ph&gramine.PhaseHandshake != 0
+	if handshake && ph.HandshakeFirst() {
+		charge(model.TLSHandshakeServer)
+	}
+	if request {
+		vmexits()
+	}
+	n := 0
+	if ph&gramine.PhasePre != 0 {
+		n = m.syscalls.Pre
+	}
+	if request {
+		n += int(env.JitterFor(ctx).Uint64n(3))
+	}
+	syscalls(n, 32)
+	if handshake && !ph.HandshakeFirst() {
 		charge(model.TLSHandshakeServer)
 	}
 
-	// Request arrival: virtio doorbell + interrupt injection.
-	vmexit()
-	vmexit()
+	var bd Breakdown
+	var err error
+	if request {
+		totalStart := acct.Total()
+		syscalls(m.syscalls.Read, inBytes/m.syscalls.Read+1)
+		charge(model.TLSRecordCost(inBytes) + model.HTTPCost(inBytes))
 
-	jig := int(env.JitterFor(ctx).Uint64n(3))
-	for k := 0; k < m.syscalls.Pre+jig; k++ {
-		syscall(32)
+		fnStart := acct.Total()
+		err = call.Run(Exec{ctx: ctx, m: m})
+		bd.Functional = acct.Total() - fnStart
+
+		charge(model.HTTPCost(outBytes) + model.TLSRecordCost(outBytes))
+		syscalls(m.syscalls.Write, outBytes/m.syscalls.Write+1)
+		bd.Total = acct.Total() - totalStart
 	}
-
-	totalStart := acct.Total()
-	for k := 0; k < m.syscalls.Read; k++ {
-		syscall(inBytes/m.syscalls.Read + 1)
+	if ph&gramine.PhasePost != 0 {
+		syscalls(m.syscalls.Post, 32)
 	}
-	charge(model.TLSRecordCost(inBytes) + model.HTTPCost(inBytes))
-
-	fnStart := acct.Total()
-	ex := Exec{ctx: ctx, m: m}
-	err := handler(ex)
-	fnEnd := acct.Total()
-
-	charge(model.HTTPCost(outBytes) + model.TLSRecordCost(outBytes))
-	for k := 0; k < m.syscalls.Write; k++ {
-		syscall(outBytes/m.syscalls.Write + 1)
+	if request {
+		vmexits()
 	}
-	totalEnd := acct.Total()
-
-	for k := 0; k < m.syscalls.Post; k++ {
-		syscall(32)
-	}
-	// Response departure.
-	vmexit()
-	vmexit()
-
-	return Breakdown{
-		Functional: fnEnd - fnStart,
-		Total:      totalEnd - totalStart,
-		ServerSide: acct.Total() - start,
-	}, err
+	bd.ServerSide = acct.Total() - start
+	return bd, err
 }
 
-// Do runs fn in the guest outside the request path.
-func (m *Machine) Do(ctx context.Context, fn func(Exec) error) error {
-	if err := m.live(); err != nil {
+// Do runs call in the guest outside the request path.
+func (m *Machine) Do(ctx context.Context, call gramine.Call) error {
+	if err := m.Live(); err != nil {
 		return err
 	}
 	ctx = simclock.WithAccount(ctx, simclock.AccountFrom(ctx))
-	return fn(Exec{ctx: ctx, m: m})
-}
-
-// Warm reports whether the first request has been served.
-func (m *Machine) Warm() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.warm
+	return call.Run(Exec{ctx: ctx, m: m})
 }
 
 // Introspect is the host's view of guest memory for the named secret:
@@ -326,7 +313,7 @@ type AttestationReport struct {
 
 // GenerateReport produces a signed attestation report.
 func (m *Machine) GenerateReport(reportData [64]byte) (*AttestationReport, error) {
-	if err := m.live(); err != nil {
+	if err := m.Live(); err != nil {
 		return nil, err
 	}
 	r := &AttestationReport{MachineName: m.cfg.Name, Measurement: m.measurement, ReportData: reportData}
@@ -358,9 +345,9 @@ func VerifyReport(pspKey ed25519.PublicKey, r *AttestationReport) error {
 
 // Stop tears the machine down, flushing guest secrets.
 func (m *Machine) Stop() {
+	m.StopServing()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.running = false
 	for k := range m.secrets {
 		delete(m.secrets, k)
 	}

@@ -8,8 +8,17 @@ import (
 	"time"
 
 	"shield5g/internal/costmodel"
+	"shield5g/internal/hmee/gramine"
 	"shield5g/internal/simclock"
 )
+
+// callFunc adapts a test body to gramine.Call.
+type callFunc func(gramine.Exec) error
+
+func (f callFunc) Run(ex gramine.Exec) error { return f(ex) }
+
+// nopCall is a call that charges nothing.
+var nopCall = callFunc(func(gramine.Exec) error { return nil })
 
 func testMachine(t *testing.T) *Machine {
 	t.Helper()
@@ -58,17 +67,17 @@ func TestLaunchChargesAccount(t *testing.T) {
 
 func TestServeRequestNoTransitionsFewVMExits(t *testing.T) {
 	m := testMachine(t)
-	if _, err := m.ServeRequest(context.Background(), 40, 80, func(Exec) error { return nil }); err != nil {
-		t.Fatalf("warm ServeRequest: %v", err)
+	if _, err := m.Serve(context.Background(), nil, 40, 80, nopCall); err != nil {
+		t.Fatalf("warm Serve: %v", err)
 	}
 	before := m.VMExits()
-	bd, err := m.ServeRequest(context.Background(), 40, 80, func(ex Exec) error {
+	bd, err := m.Serve(context.Background(), nil, 40, 80, callFunc(func(ex gramine.Exec) error {
 		ex.Compute(100_000)
 		ex.Touch(4096)
 		return nil
-	})
+	}))
 	if err != nil {
-		t.Fatalf("ServeRequest: %v", err)
+		t.Fatalf("Serve: %v", err)
 	}
 	exits := m.VMExits() - before
 	if exits != vmExitsPerRequest {
@@ -79,10 +88,65 @@ func TestServeRequestNoTransitionsFewVMExits(t *testing.T) {
 	}
 }
 
+// TestSessionMirrorsContainerContract pins the SEV keep-alive split, the
+// same one the plain container uses: the accept machinery and TLS
+// handshake at open, the teardown at close, and only the per-request
+// census — with its own arrival and departure VM exits — per pipelined
+// request.
+func TestSessionMirrorsContainerContract(t *testing.T) {
+	m := testMachine(t)
+	if _, err := m.Serve(context.Background(), nil, 40, 80, nopCall); err != nil {
+		t.Fatalf("warm: %v", err)
+	}
+	measure := func(f func(ctx context.Context) error) simclock.Cycles {
+		acct := &simclock.Account{}
+		ctx := simclock.WithAccount(context.Background(), acct)
+		ctx = simclock.WithJitter(ctx, simclock.NewJitter(5))
+		if err := f(ctx); err != nil {
+			t.Fatalf("measure: %v", err)
+		}
+		return acct.Total()
+	}
+
+	full := measure(func(ctx context.Context) error {
+		_, err := m.Serve(ctx, nil, 40, 80, nopCall)
+		return err
+	})
+	var sess *gramine.Session
+	open := measure(func(ctx context.Context) (err error) {
+		sess, err = m.OpenSession(ctx)
+		return err
+	})
+	before := m.VMExits()
+	serve := measure(func(ctx context.Context) error {
+		_, err := m.Serve(ctx, sess, 40, 80, nopCall)
+		return err
+	})
+	if exits := m.VMExits() - before; exits != vmExitsPerRequest {
+		t.Fatalf("VM exits per pipelined request = %d, want %d", exits, vmExitsPerRequest)
+	}
+	closeCost := measure(func(ctx context.Context) error { return sess.Close(ctx) })
+
+	perSyscall := m.env.Model.SyscallNative + 32*m.env.Model.CopyPerByte
+	if got, want := full-serve, simclock.Cycles(m.syscalls.Pre+m.syscalls.Post)*perSyscall; got != want {
+		t.Fatalf("one-shot - session request = %d cycles, want exactly the Pre+Post machinery %d", got, want)
+	}
+	// Identical jitter streams make the split exact: the session path
+	// re-arranges the warm one-shot's charges and adds exactly one
+	// per-connection TLS handshake.
+	if got, want := open+serve+closeCost, full+m.env.Model.TLSHandshakeServer; got != want {
+		t.Fatalf("open+serve+close = %d, want one-shot %d + handshake = %d", got, full, want)
+	}
+
+	if err := sess.Close(context.Background()); err != nil {
+		t.Fatalf("double Close: %v", err)
+	}
+}
+
 func TestServeRequestHandlerError(t *testing.T) {
 	m := testMachine(t)
 	sentinel := errors.New("boom")
-	if _, err := m.ServeRequest(context.Background(), 1, 1, func(Exec) error { return sentinel }); !errors.Is(err, sentinel) {
+	if _, err := m.Serve(context.Background(), nil, 1, 1, callFunc(func(ex gramine.Exec) error { return sentinel })); !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -92,8 +156,8 @@ func TestInitialRequestSlower(t *testing.T) {
 	serve := func() simclock.Cycles {
 		var acct simclock.Account
 		ctx := simclock.WithAccount(context.Background(), &acct)
-		if _, err := m.ServeRequest(ctx, 40, 80, func(Exec) error { return nil }); err != nil {
-			t.Fatalf("ServeRequest: %v", err)
+		if _, err := m.Serve(ctx, nil, 40, 80, nopCall); err != nil {
+			t.Fatalf("Serve: %v", err)
 		}
 		return acct.Total()
 	}
@@ -117,7 +181,7 @@ func TestTCBIncludesGuestStack(t *testing.T) {
 func TestSecretsAndIntrospection(t *testing.T) {
 	m := testMachine(t)
 	secret := []byte("subscriber-key-material")
-	if err := m.Do(context.Background(), func(ex Exec) error {
+	if err := m.Do(context.Background(), callFunc(func(ex gramine.Exec) error {
 		ex.StoreSecret("k", secret)
 		got, ok := ex.LoadSecret("k")
 		if !ok || !bytes.Equal(got, secret) {
@@ -127,7 +191,7 @@ func TestSecretsAndIntrospection(t *testing.T) {
 			t.Error("missing secret found")
 		}
 		return nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatalf("Do: %v", err)
 	}
 	view, ok := m.Introspect("k")
@@ -149,10 +213,10 @@ func TestSecretsAndIntrospection(t *testing.T) {
 func TestStoppedMachineRejectsUse(t *testing.T) {
 	m := testMachine(t)
 	m.Stop()
-	if _, err := m.ServeRequest(context.Background(), 1, 1, func(Exec) error { return nil }); !errors.Is(err, ErrStopped) {
+	if _, err := m.Serve(context.Background(), nil, 1, 1, nopCall); !errors.Is(err, ErrStopped) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := m.Do(context.Background(), func(Exec) error { return nil }); !errors.Is(err, ErrStopped) {
+	if err := m.Do(context.Background(), nopCall); !errors.Is(err, ErrStopped) {
 		t.Fatalf("Do err = %v", err)
 	}
 	if _, err := m.GenerateReport([64]byte{}); !errors.Is(err, ErrStopped) {

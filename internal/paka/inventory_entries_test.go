@@ -3,6 +3,7 @@ package paka
 import (
 	"context"
 
+	"shield5g/internal/hmee/gramine"
 	"shield5g/internal/hmee/sgx"
 )
 
@@ -10,13 +11,15 @@ import (
 // through the adapters below, so the inventory itself stays the same
 // contract whatever shape the entry points take.
 
-type inventorySession = RuntimeSession
+type inventorySession = *gramine.Session
+
+// callFunc adapts a test body to Call.
+type callFunc func(Exec) error
+
+func (f callFunc) Run(ex Exec) error { return f(ex) }
 
 func inventoryServe(ctx context.Context, rt Runtime, s inventorySession, in, out int, h func(Exec) error) (Breakdown, error) {
-	if s == nil {
-		return rt.ServeRequest(ctx, in, out, h)
-	}
-	return s.Serve(ctx, in, out, h)
+	return rt.Serve(ctx, s, in, out, callFunc(h))
 }
 
 func inventoryOpen(ctx context.Context, rt Runtime) (inventorySession, error) {
@@ -25,17 +28,19 @@ func inventoryOpen(ctx context.Context, rt Runtime) (inventorySession, error) {
 
 func inventoryClose(ctx context.Context, s inventorySession) error { return s.Close(ctx) }
 
-func inventoryDo(ctx context.Context, rt Runtime, h func(Exec) error) error { return rt.Do(ctx, h) }
+func inventoryDo(ctx context.Context, rt Runtime, h func(Exec) error) error {
+	return rt.Do(ctx, callFunc(h))
+}
 
 func inventoryDoBatch(ctx context.Context, rt Runtime, argBytes, retBytes int, h func(Exec) error) error {
-	return rt.DoBatch(ctx, argBytes, retBytes, h)
+	return rt.DoBatch(ctx, argBytes, retBytes, callFunc(h))
 }
 
 // inventoryRing snapshots the runtime's switchless ring counters; ok is
 // false when the runtime has no ring.
 func inventoryRing(rt Runtime) (st sgx.RingStats, ok bool) {
-	if s, isSGX := rt.(*sgxRuntime); isSGX && s.inst.Switchless() {
-		return s.inst.RingStats(), true
+	if inst, isSGX := rt.(*gramine.Instance); isSGX && inst.Switchless() {
+		return inst.RingStats(), true
 	}
 	return sgx.RingStats{}, false
 }

@@ -249,7 +249,11 @@ func buildSGXRuntime(ctx context.Context, cfg Config, profile Profile) (Runtime,
 	if cfg.UserLevelTCP {
 		opts = append(opts, gramine.WithSyscallProfile(gramine.UserTCPSyscallProfile()))
 	}
-	return newSGXRuntime(ctx, cfg.Platform, si, opts...)
+	inst, err := gramine.Launch(ctx, cfg.Platform, si, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return inst, nil
 }
 
 // moduleImage synthesises the module's container image: the paper's images
@@ -306,10 +310,9 @@ func (m *Module) registerEndpoints() {
 	}
 }
 
-// endpointCall binds one served request's state for serve's
-// func(Exec) error callback. A per-call closure would capture ctx, body
-// and the out variable on the heap every request; pooling the binding
-// leaves only the method-value header as per-request overhead.
+// endpointCall binds one served request's state as the Call the runtime
+// runs. The pooled pointer passes through every layer — down to a
+// switchless ring job — as-is, so a served request allocates no binding.
 type endpointCall struct {
 	m       *Module
 	ctx     context.Context
@@ -321,7 +324,7 @@ type endpointCall struct {
 var endpointCallPool = sync.Pool{New: func() any { return new(endpointCall) }}
 
 //shieldlint:hotpath
-func (c *endpointCall) run(ex Exec) error {
+func (c *endpointCall) Run(ex Exec) error {
 	m := c.m
 	fn := m.env.JitterFor(c.ctx).LogNormal(m.profile.FnCycles, m.profile.FnSigma)
 	if m.isolation == SGX {
@@ -341,7 +344,7 @@ func (m *Module) endpoint(handler func(ctx context.Context, ex Exec, body []byte
 	return func(ctx context.Context, body []byte) ([]byte, error) {
 		c := endpointCallPool.Get().(*endpointCall)
 		c.m, c.ctx, c.body, c.handler = m, ctx, body, handler
-		bd, err := m.serve(ctx, m.profile.InBytes, m.profile.OutBytes, c.run)
+		bd, err := m.serve(ctx, m.profile.InBytes, m.profile.OutBytes, c)
 		out := c.out
 		*c = endpointCall{}
 		endpointCallPool.Put(c)
@@ -369,94 +372,78 @@ var (
 	deriveKAMFReqPool = sync.Pool{New: func() any { return new(AMFDeriveKAMFRequest) }}
 )
 
+// handleTyped decodes body into a pooled Req, runs fn on it and marshals
+// the response in the request's codec.
+//
 //shieldlint:hotpath
-func (m *Module) handleGenerateAV(_ context.Context, ex Exec, body []byte) ([]byte, error) {
-	req := genAVReqPool.Get().(*UDMGenerateAVRequest)
-	resp, perr := m.generateAV(ex, body, req)
-	*req = UDMGenerateAVRequest{}
-	genAVReqPool.Put(req)
-	if perr != nil {
-		return nil, perr
+func handleTyped[Req, Resp any](pool *sync.Pool, body []byte, fn func(req *Req) (*Resp, error)) ([]byte, error) {
+	req := pool.Get().(*Req)
+	var resp *Resp
+	err := sbi.DecodeBody(body, req)
+	if err != nil {
+		err = sbi.Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "decode: %v", err)
+	} else {
+		resp, err = fn(req)
+	}
+	var zero Req
+	*req = zero
+	pool.Put(req)
+	if err != nil {
+		return nil, err
 	}
 	return sbi.MarshalBodyLike(body, resp)
 }
 
-func (m *Module) generateAV(ex Exec, body []byte, req *UDMGenerateAVRequest) (*UDMGenerateAVResponse, error) {
-	if err := sbi.DecodeBody(body, req); err != nil {
-		return nil, sbi.Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "decode: %v", err)
-	}
-	k, ok := ex.LoadSecret(subscriberSecret(req.SUPI))
-	if !ok {
-		return nil, sbi.Problem(404, "Not Found", "USER_NOT_FOUND", "%v: %s", ErrUnknownSubscriber, req.SUPI)
-	}
-	resp, err := GenerateAVCached(m.milCache, k, req)
-	if err != nil {
-		return nil, sbi.Problem(400, "Bad Request", "AV_GENERATION_PROBLEM", "%v", err)
-	}
-	return resp, nil
+//shieldlint:hotpath
+func (m *Module) handleGenerateAV(_ context.Context, ex Exec, body []byte) ([]byte, error) {
+	return handleTyped(&genAVReqPool, body, func(req *UDMGenerateAVRequest) (*UDMGenerateAVResponse, error) {
+		k, ok := ex.LoadSecret(subscriberSecret(req.SUPI))
+		if !ok {
+			return nil, sbi.Problem(404, "Not Found", "USER_NOT_FOUND", "%v: %s", ErrUnknownSubscriber, req.SUPI)
+		}
+		resp, err := GenerateAVCached(m.milCache, k, req)
+		if err != nil {
+			return nil, sbi.Problem(400, "Bad Request", "AV_GENERATION_PROBLEM", "%v", err)
+		}
+		return resp, nil
+	})
 }
 
 //shieldlint:hotpath
 func (m *Module) handleResync(_ context.Context, ex Exec, body []byte) ([]byte, error) {
-	req := resyncReqPool.Get().(*UDMResyncRequest)
-	resp, perr := m.resync(ex, body, req)
-	*req = UDMResyncRequest{}
-	resyncReqPool.Put(req)
-	if perr != nil {
-		return nil, perr
-	}
-	return sbi.MarshalBodyLike(body, resp)
-}
-
-func (m *Module) resync(ex Exec, body []byte, req *UDMResyncRequest) (*UDMResyncResponse, error) {
-	if err := sbi.DecodeBody(body, req); err != nil {
-		return nil, sbi.Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "decode: %v", err)
-	}
-	k, ok := ex.LoadSecret(subscriberSecret(req.SUPI))
-	if !ok {
-		return nil, sbi.Problem(404, "Not Found", "USER_NOT_FOUND", "%v: %s", ErrUnknownSubscriber, req.SUPI)
-	}
-	resp, err := ResyncCached(m.milCache, k, req)
-	if err != nil {
-		return nil, sbi.Problem(403, "Forbidden", "SYNC_FAILURE", "%v", err)
-	}
-	return resp, nil
+	return handleTyped(&resyncReqPool, body, func(req *UDMResyncRequest) (*UDMResyncResponse, error) {
+		k, ok := ex.LoadSecret(subscriberSecret(req.SUPI))
+		if !ok {
+			return nil, sbi.Problem(404, "Not Found", "USER_NOT_FOUND", "%v: %s", ErrUnknownSubscriber, req.SUPI)
+		}
+		resp, err := ResyncCached(m.milCache, k, req)
+		if err != nil {
+			return nil, sbi.Problem(403, "Forbidden", "SYNC_FAILURE", "%v", err)
+		}
+		return resp, nil
+	})
 }
 
 //shieldlint:hotpath
 func (m *Module) handleDeriveSE(_ context.Context, _ Exec, body []byte) ([]byte, error) {
-	req := deriveSEReqPool.Get().(*AUSFDeriveSERequest)
-	var resp *AUSFDeriveSEResponse
-	perr := sbi.DecodeBody(body, req)
-	if perr != nil {
-		perr = sbi.Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "decode: %v", perr)
-	} else if resp, perr = DeriveSE(req); perr != nil {
-		perr = sbi.Problem(400, "Bad Request", "AV_GENERATION_PROBLEM", "%v", perr)
-	}
-	*req = AUSFDeriveSERequest{}
-	deriveSEReqPool.Put(req)
-	if perr != nil {
-		return nil, perr
-	}
-	return sbi.MarshalBodyLike(body, resp)
+	return handleTyped(&deriveSEReqPool, body, func(req *AUSFDeriveSERequest) (*AUSFDeriveSEResponse, error) {
+		resp, err := DeriveSE(req)
+		if err != nil {
+			return nil, sbi.Problem(400, "Bad Request", "AV_GENERATION_PROBLEM", "%v", err)
+		}
+		return resp, nil
+	})
 }
 
 //shieldlint:hotpath
 func (m *Module) handleDeriveKAMF(_ context.Context, _ Exec, body []byte) ([]byte, error) {
-	req := deriveKAMFReqPool.Get().(*AMFDeriveKAMFRequest)
-	var resp *AMFDeriveKAMFResponse
-	perr := sbi.DecodeBody(body, req)
-	if perr != nil {
-		perr = sbi.Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "decode: %v", perr)
-	} else if resp, perr = DeriveKAMF(req); perr != nil {
-		perr = sbi.Problem(400, "Bad Request", "AV_GENERATION_PROBLEM", "%v", perr)
-	}
-	*req = AMFDeriveKAMFRequest{}
-	deriveKAMFReqPool.Put(req)
-	if perr != nil {
-		return nil, perr
-	}
-	return sbi.MarshalBodyLike(body, resp)
+	return handleTyped(&deriveKAMFReqPool, body, func(req *AMFDeriveKAMFRequest) (*AMFDeriveKAMFResponse, error) {
+		resp, err := DeriveKAMF(req)
+		if err != nil {
+			return nil, sbi.Problem(400, "Bad Request", "AV_GENERATION_PROBLEM", "%v", err)
+		}
+		return resp, nil
+	})
 }
 
 func subscriberSecret(supi string) string { return "subscriber-k:" + supi }
@@ -479,41 +466,71 @@ func (m *Module) GenerateAVBatch(ctx context.Context, req *UDMGenerateAVBatchReq
 	// The whole refill derives into one backing array and one vector
 	// slice: two allocations per batch instead of one 80-byte backing,
 	// one response struct and one secret-name string per vector.
-	backing := make([]byte, k*AVBackingBytes)
+	c := avBatchCallPool.Get().(*avBatchCall)
+	*c = avBatchCall{m: m, ctx: ctx, req: req, resp: resp, backing: make([]byte, k*AVBackingBytes)}
 	resp.Vectors = make([]UDMGenerateAVResponse, k)
-	err := m.rt().DoBatch(ctx, k*m.profile.InBytes, k*m.profile.OutBytes, func(ex Exec) error {
-		// A refill is per-SUPI: reuse the key lookup (and its secret-name
-		// string) across consecutive items for the same subscriber.
-		var key []byte
-		lastSUPI := ""
-		for i := range req.Items {
-			item := &req.Items[i]
-			fn := m.env.JitterFor(ctx).LogNormal(m.profile.FnCycles, m.profile.FnSigma)
-			if m.isolation == SGX {
-				fn += m.profile.SGXExtraCycles
-			}
-			ex.Compute(fn)
-			ex.Touch(m.profile.HeapBytes)
-			if i == 0 || item.SUPI != lastSUPI {
-				var ok bool
-				key, ok = ex.LoadSecret(subscriberSecret(item.SUPI))
-				if !ok {
-					return sbi.Problem(404, "Not Found", "USER_NOT_FOUND", "%v: %s", ErrUnknownSubscriber, item.SUPI)
-				}
-				lastSUPI = item.SUPI
-			}
-			av := &resp.Vectors[i]
-			AVInto(backing[i*AVBackingBytes:(i+1)*AVBackingBytes], av)
-			if err := GenerateAVCachedInto(m.milCache, key, item, av); err != nil {
-				return sbi.Problem(400, "Bad Request", "AV_GENERATION_PROBLEM", "%v", err)
-			}
-		}
-		return nil
-	})
+	err := m.rt().DoBatch(ctx, k*m.profile.InBytes, k*m.profile.OutBytes, c)
+	*c = avBatchCall{}
+	avBatchCallPool.Put(c)
 	if err != nil {
 		return nil, err
 	}
 	return resp, nil
+}
+
+// avBatchCall binds one AV-pool refill as the Call the runtime runs in a
+// single crossing; pooled like endpointCall.
+type avBatchCall struct {
+	m       *Module
+	ctx     context.Context
+	req     *UDMGenerateAVBatchRequest
+	resp    *UDMGenerateAVBatchResponse
+	backing []byte
+}
+
+var avBatchCallPool = sync.Pool{New: func() any { return new(avBatchCall) }}
+
+func (c *avBatchCall) Run(ex Exec) error {
+	m := c.m
+	// A refill is per-SUPI: reuse the key lookup (and its secret-name
+	// string) across consecutive items for the same subscriber.
+	var key []byte
+	lastSUPI := ""
+	for i := range c.req.Items {
+		item := &c.req.Items[i]
+		fn := m.env.JitterFor(c.ctx).LogNormal(m.profile.FnCycles, m.profile.FnSigma)
+		if m.isolation == SGX {
+			fn += m.profile.SGXExtraCycles
+		}
+		ex.Compute(fn)
+		ex.Touch(m.profile.HeapBytes)
+		if i == 0 || item.SUPI != lastSUPI {
+			var ok bool
+			key, ok = ex.LoadSecret(subscriberSecret(item.SUPI))
+			if !ok {
+				return sbi.Problem(404, "Not Found", "USER_NOT_FOUND", "%v: %s", ErrUnknownSubscriber, item.SUPI)
+			}
+			lastSUPI = item.SUPI
+		}
+		av := &c.resp.Vectors[i]
+		AVInto(c.backing[i*AVBackingBytes:(i+1)*AVBackingBytes], av)
+		if err := GenerateAVCachedInto(m.milCache, key, item, av); err != nil {
+			return sbi.Problem(400, "Bad Request", "AV_GENERATION_PROBLEM", "%v", err)
+		}
+	}
+	return nil
+}
+
+// storeSecret is the maintenance Call that places one secret in the
+// runtime's memory (provisioning and crash-restart recovery).
+type storeSecret struct {
+	name string
+	data []byte
+}
+
+func (s *storeSecret) Run(ex Exec) error {
+	ex.StoreSecret(s.name, s.data)
+	return nil
 }
 
 // ProvisionSubscriber installs a subscriber's long-term key into the
@@ -525,11 +542,7 @@ func (m *Module) ProvisionSubscriber(ctx context.Context, supi string, k []byte)
 		return fmt.Errorf("paka: %s does not hold subscriber keys", m.kind)
 	}
 	name := subscriberSecret(supi)
-	err := m.rt().Do(ctx, func(ex Exec) error {
-		ex.StoreSecret(name, k)
-		return nil
-	})
-	if err != nil {
+	if err := m.rt().Do(ctx, &storeSecret{name: name, data: k}); err != nil {
 		return fmt.Errorf("paka: provision %s: %w", supi, err)
 	}
 	// The key may have changed (UDR re-provision): any cached MILENAGE
@@ -566,12 +579,12 @@ func (m *Module) MemoryDump() map[string][]byte {
 	out := make(map[string][]byte, len(names))
 	for _, name := range names {
 		switch rt := m.rt().(type) {
-		case *sgxRuntime:
-			if d, ok := rt.enclave().Introspect(name); ok {
+		case *gramine.Instance:
+			if d, ok := rt.Enclave().Introspect(name); ok {
 				out[name] = d
 			}
-		case *sevRuntime:
-			if d, ok := rt.machine.Introspect(name); ok {
+		case sevRuntime:
+			if d, ok := rt.Introspect(name); ok {
 				out[name] = d
 			}
 		case *nativeRuntime:
@@ -618,10 +631,10 @@ const HostTCBBytes = 4 << 30
 // entire host software stack that can read its memory.
 func (m *Module) TCBBytes() uint64 {
 	switch rt := m.rt().(type) {
-	case *sgxRuntime:
-		return rt.inst.TCBBytes()
-	case *sevRuntime:
-		return rt.machine.TCBBytes()
+	case *gramine.Instance:
+		return rt.TCBBytes()
+	case sevRuntime:
+		return rt.TCBBytes()
 	default:
 		return m.profile.ImageBytes + HostTCBBytes
 	}
@@ -630,8 +643,8 @@ func (m *Module) TCBBytes() uint64 {
 // Machine exposes the module's confidential VM; nil when not
 // SEV-isolated.
 func (m *Module) Machine() *sev.Machine {
-	if rt, ok := m.rt().(*sevRuntime); ok {
-		return rt.machine
+	if rt, ok := m.rt().(sevRuntime); ok {
+		return rt.Machine
 	}
 	return nil
 }
@@ -639,8 +652,8 @@ func (m *Module) Machine() *sev.Machine {
 // Enclave exposes the module's enclave for sealing/attestation; nil when
 // not SGX-isolated.
 func (m *Module) Enclave() *sgx.Enclave {
-	if rt, ok := m.rt().(*sgxRuntime); ok {
-		return rt.enclave()
+	if rt, ok := m.rt().(*gramine.Instance); ok {
+		return rt.Enclave()
 	}
 	return nil
 }
@@ -660,8 +673,8 @@ func WithSwitchless(ctx context.Context) context.Context {
 // pool uses it as a coalescing hint to widen refill batches while
 // demand is queued.
 func (m *Module) RingOccupancy() int {
-	if rt, ok := m.rt().(*sgxRuntime); ok {
-		return rt.inst.RingOccupancy()
+	if rt, ok := m.rt().(*gramine.Instance); ok {
+		return rt.RingOccupancy()
 	}
 	return 0
 }
@@ -669,8 +682,8 @@ func (m *Module) RingOccupancy() int {
 // RingStats snapshots the switchless ring counters (zero-valued when no
 // ring is attached).
 func (m *Module) RingStats() sgx.RingStats {
-	if rt, ok := m.rt().(*sgxRuntime); ok {
-		return rt.inst.RingStats()
+	if rt, ok := m.rt().(*gramine.Instance); ok {
+		return rt.RingStats()
 	}
 	return sgx.RingStats{}
 }
@@ -732,8 +745,8 @@ func (m *Module) Restart(ctx context.Context) error {
 		return fmt.Errorf("paka: %s runtime does not support restart", m.isolation)
 	}
 
-	if srt, ok := fresh.(*sgxRuntime); ok {
-		enc := srt.enclave()
+	if inst, ok := fresh.(*gramine.Instance); ok {
+		enc := inst.Enclave()
 		m.secretMu.Lock()
 		backups := make(map[string][]byte, len(m.sealed))
 		for name, blob := range m.sealed {
@@ -746,10 +759,7 @@ func (m *Module) Restart(ctx context.Context) error {
 				fresh.Shutdown()
 				return fmt.Errorf("paka: restart %s: recover %s: %w", m.kind, name, err)
 			}
-			if err := fresh.Do(ctx, func(ex Exec) error {
-				ex.StoreSecret(name, k)
-				return nil
-			}); err != nil {
+			if err := fresh.Do(ctx, &storeSecret{name: name, data: k}); err != nil {
 				fresh.Shutdown()
 				return fmt.Errorf("paka: restart %s: restore %s: %w", m.kind, name, err)
 			}

@@ -51,54 +51,39 @@ func (i Isolation) String() string {
 }
 
 // Exec is the execution surface a module handler charges its work
-// through. Inside an enclave it is the *sgx.Thread (memory-encryption
-// overhead, AEX draws, EPC faults); in a plain container it charges native
-// costs.
-type Exec interface {
-	// Compute charges n cycles of handler execution.
-	Compute(n simclock.Cycles)
-	// Touch charges access to n bytes of heap.
-	Touch(nBytes uint64)
-	// StoreSecret places sensitive material in the runtime's memory.
-	StoreSecret(name string, data []byte)
-	// LoadSecret reads sensitive material back.
-	LoadSecret(name string) ([]byte, bool)
-}
+// through (gramine.Exec): inside an enclave the *sgx.Thread, in a plain
+// container or confidential VM that runtime's native surface.
+type Exec = gramine.Exec
 
-// The enclave thread is an Exec.
-var _ Exec = (*sgx.Thread)(nil)
+// Call is one typed unit of work a runtime runs across its isolation
+// boundary (gramine.Call). The module's pooled request and batch bindings
+// implement it, so no layer below wraps them per call.
+type Call = gramine.Call
 
 // Breakdown re-exports the per-request latency windows.
 type Breakdown = gramine.Breakdown
 
-// RuntimeSession is one persistent keep-alive connection into a module
-// runtime: the per-connection setup (accept machinery, TLS handshake) is
-// paid at open, the teardown at close, and Serve pays only the
-// per-request census. See gramine.Session for the SGX amortization
-// contract.
-type RuntimeSession interface {
-	// Serve runs one pipelined request on the session. The Breakdown
-	// windows match ServeRequest minus the amortized phases.
-	Serve(ctx context.Context, inBytes, outBytes int, handler func(Exec) error) (Breakdown, error)
-	// Close pays the connection teardown. Closing twice, or after the
-	// runtime shut down, is a free no-op.
-	Close(ctx context.Context) error
-}
-
-// Runtime hosts a module's request loop under one isolation mode.
+// Runtime hosts a module's request loop under one isolation mode. Every
+// runtime embeds a gramine.Server around its own request body, so the
+// keep-alive contract (gramine.Session) is the same under each.
 type Runtime interface {
-	// ServeRequest runs one request through the modelled server path.
-	ServeRequest(ctx context.Context, inBytes, outBytes int, handler func(Exec) error) (Breakdown, error)
-	// OpenSession opens a persistent connection for pipelined requests.
-	OpenSession(ctx context.Context) (RuntimeSession, error)
-	// Do runs fn on the runtime's execution surface outside any request
+	// OpenSession opens a persistent connection for pipelined requests:
+	// the per-connection setup (accept machinery, TLS handshake) is paid
+	// at open, the teardown at Session.Close.
+	OpenSession(ctx context.Context) (*gramine.Session, error)
+	// Serve runs one request through the modelled server path: on s when
+	// it is an open session of this runtime, or as a one-shot request
+	// (paying the per-connection machinery too) when s is nil. A closed
+	// session fails with gramine.ErrSessionClosed.
+	Serve(ctx context.Context, s *gramine.Session, inBytes, outBytes int, call Call) (Breakdown, error)
+	// Do runs call on the runtime's execution surface outside any request
 	// (provisioning, maintenance).
-	Do(ctx context.Context, fn func(Exec) error) error
-	// DoBatch runs fn across the isolation boundary in a single crossing
+	Do(ctx context.Context, call Call) error
+	// DoBatch runs call across the isolation boundary in a single crossing
 	// sized argBytes in / retBytes out — under SGX one EENTER/EEXIT pair
 	// for the whole batch; isolation modes without per-crossing
 	// transitions treat it like Do plus the data movement.
-	DoBatch(ctx context.Context, argBytes, retBytes int, fn func(Exec) error) error
+	DoBatch(ctx context.Context, argBytes, retBytes int, call Call) error
 	// LoadDuration is the modelled deployment time (Fig. 7 for SGX).
 	LoadDuration() time.Duration
 	// Stats snapshots SGX counters (zero for non-SGX runtimes).
@@ -111,80 +96,15 @@ type Runtime interface {
 	Shutdown()
 }
 
-// --- SGX runtime (Gramine shielded container) ---
-
-type sgxRuntime struct {
-	inst *gramine.Instance
-}
-
-// newSGXRuntime launches the shielded image on the platform.
-func newSGXRuntime(ctx context.Context, p *sgx.Platform, si *gramine.ShieldedImage, opts ...gramine.LaunchOption) (Runtime, error) {
-	inst, err := gramine.Launch(ctx, p, si, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &sgxRuntime{inst: inst}, nil
-}
-
-// The switchless/classic split below is deliberate: the two branches pass
-// two distinct closure literals. The switchless entries store their
-// handler in a pooled ring job, so that literal escapes; keeping the
-// classic literal separate (and the classic gramine entries free of any
-// ring branch) lets escape analysis keep it on the stack — one fewer heap
-// allocation per request on the non-switchless hot path.
-func (r *sgxRuntime) ServeRequest(ctx context.Context, in, out int, handler func(Exec) error) (Breakdown, error) {
-	if sgx.SwitchlessFrom(ctx) {
-		return r.inst.ServeRequestSwitchless(ctx, in, out, func(th *sgx.Thread) error { return handler(th) })
-	}
-	return r.inst.ServeRequest(ctx, in, out, func(th *sgx.Thread) error { return handler(th) })
-}
-
-func (r *sgxRuntime) OpenSession(ctx context.Context) (RuntimeSession, error) {
-	sess, err := r.inst.OpenSession(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return sgxSession{sess: sess}, nil
-}
-
-type sgxSession struct {
-	sess *gramine.Session
-}
-
-func (s sgxSession) Serve(ctx context.Context, in, out int, handler func(Exec) error) (Breakdown, error) {
-	if s.sess.Switchless() {
-		return s.sess.ServeSwitchless(ctx, in, out, func(th *sgx.Thread) error { return handler(th) })
-	}
-	return s.sess.Serve(ctx, in, out, func(th *sgx.Thread) error { return handler(th) })
-}
-
-func (s sgxSession) Close(ctx context.Context) error { return s.sess.Close(ctx) }
-
-func (r *sgxRuntime) Do(ctx context.Context, fn func(Exec) error) error {
-	return r.inst.Do(ctx, func(th *sgx.Thread) error { return fn(th) })
-}
-
-func (r *sgxRuntime) DoBatch(ctx context.Context, argBytes, retBytes int, fn func(Exec) error) error {
-	if sgx.SwitchlessFrom(ctx) {
-		return r.inst.DoBatchSwitchless(ctx, argBytes, retBytes, func(th *sgx.Thread) error { return fn(th) })
-	}
-	return r.inst.DoBatch(ctx, argBytes, retBytes, func(th *sgx.Thread) error { return fn(th) })
-}
-
-func (r *sgxRuntime) LoadDuration() time.Duration  { return r.inst.LoadDuration() }
-func (r *sgxRuntime) Stats() sgx.StatsSnapshot     { return r.inst.Stats() }
-func (r *sgxRuntime) AccrueUptime(d time.Duration) { r.inst.AccrueUptime(d) }
-func (r *sgxRuntime) Warm() bool                   { return r.inst.Warm() }
-func (r *sgxRuntime) Shutdown()                    { r.inst.Shutdown() }
-
-// enclave exposes the underlying enclave for sealing/attestation/
-// introspection demos; nil for non-SGX runtimes.
-func (r *sgxRuntime) enclave() *sgx.Enclave { return r.inst.Enclave() }
+// The Gramine shielded container is the SGX runtime as it stands.
+var _ Runtime = (*gramine.Instance)(nil)
 
 // --- SEV runtime (confidential VM) ---
 
+// sevRuntime is the confidential VM with the SGX-only parts of the
+// runtime contract stubbed out.
 type sevRuntime struct {
-	machine *sev.Machine
+	*sev.Machine
 }
 
 // newSEVRuntime launches the module inside a confidential VM.
@@ -193,43 +113,16 @@ func newSEVRuntime(ctx context.Context, env *costmodel.Env, name string, appImag
 	if err != nil {
 		return nil, err
 	}
-	return &sevRuntime{machine: machine}, nil
+	return sevRuntime{machine}, nil
 }
 
-func (r *sevRuntime) ServeRequest(ctx context.Context, in, out int, handler func(Exec) error) (Breakdown, error) {
-	return r.machine.ServeRequest(ctx, in, out, func(ex sev.Exec) error { return handler(ex) })
-}
+// DoBatch is Do: a confidential VM has no per-crossing transition to
+// amortize.
+func (r sevRuntime) DoBatch(ctx context.Context, _, _ int, call Call) error { return r.Do(ctx, call) }
 
-// OpenSession for SEV is a pass-through: a confidential VM pays no
-// per-syscall transition tax, so there is nothing to amortize and Serve
-// simply delegates to ServeRequest.
-func (r *sevRuntime) OpenSession(ctx context.Context) (RuntimeSession, error) {
-	return sevSession{rt: r}, nil
-}
-
-type sevSession struct {
-	rt *sevRuntime
-}
-
-func (s sevSession) Serve(ctx context.Context, in, out int, handler func(Exec) error) (Breakdown, error) {
-	return s.rt.ServeRequest(ctx, in, out, handler)
-}
-
-func (s sevSession) Close(context.Context) error { return nil }
-
-func (r *sevRuntime) Do(ctx context.Context, fn func(Exec) error) error {
-	return r.machine.Do(ctx, func(ex sev.Exec) error { return fn(ex) })
-}
-
-func (r *sevRuntime) DoBatch(ctx context.Context, argBytes, retBytes int, fn func(Exec) error) error {
-	return r.Do(ctx, fn)
-}
-
-func (r *sevRuntime) LoadDuration() time.Duration  { return r.machine.LoadDuration() }
-func (r *sevRuntime) Stats() sgx.StatsSnapshot     { return sgx.StatsSnapshot{} }
-func (r *sevRuntime) AccrueUptime(d time.Duration) {}
-func (r *sevRuntime) Warm() bool                   { return r.machine.Warm() }
-func (r *sevRuntime) Shutdown()                    { r.machine.Stop() }
+func (sevRuntime) Stats() sgx.StatsSnapshot     { return sgx.StatsSnapshot{} }
+func (sevRuntime) AccrueUptime(d time.Duration) {}
+func (r sevRuntime) Shutdown()                  { r.Stop() }
 
 // The guest execution surface satisfies the runtime contract.
 var _ Exec = sev.Exec{}
@@ -246,23 +139,28 @@ const containerStartup = 400 * time.Millisecond
 // enclave's warm-up).
 const nativeWarmupCycles = 2_000_000
 
+// errStopped reports use of a stopped native runtime.
+var errStopped = errors.New("paka: runtime stopped")
+
 type nativeRuntime struct {
 	env      *costmodel.Env
 	syscalls gramine.SyscallProfile
 
+	// Server serves requests through the container's request body.
+	*gramine.Server
+
 	mu      sync.Mutex
-	running bool
-	warm    bool
 	secrets map[string][]byte
 }
 
 func newNativeRuntime(env *costmodel.Env) *nativeRuntime {
-	return &nativeRuntime{
+	r := &nativeRuntime{
 		env:      env,
 		syscalls: gramine.DefaultSyscallProfile(),
-		running:  true,
 		secrets:  make(map[string][]byte),
 	}
+	r.Server = gramine.NewServer(r.serve, errStopped)
+	return r
 }
 
 type nativeExec struct {
@@ -294,200 +192,87 @@ func (e nativeExec) LoadSecret(name string) ([]byte, bool) {
 
 var _ Exec = nativeExec{}
 
-// errStopped reports use of a stopped native runtime.
-var errStopped = errors.New("paka: runtime stopped")
-
-func (r *nativeRuntime) ServeRequest(ctx context.Context, in, out int, handler func(Exec) error) (Breakdown, error) {
-	r.mu.Lock()
-	if !r.running {
-		r.mu.Unlock()
-		return Breakdown{}, errStopped
-	}
-	first := !r.warm
-	r.warm = true
-	r.mu.Unlock()
-
+// serve is the plain container's one request body (its Server's
+// ServeFunc), run phase by phase in the enclave runtime's order so the
+// container-vs-SGX comparison stays apples-to-apples in one-shot and
+// keep-alive mode alike.
+func (r *nativeRuntime) serve(ctx context.Context, _ *gramine.Session, ph gramine.Phases, in, out int, call Call) (Breakdown, error) {
 	m := r.env.Model
 	// Pin the request account so callers without one still get coherent
 	// latency windows.
 	acct := simclock.AccountFrom(ctx)
 	ctx = simclock.WithAccount(ctx, acct)
 	charge := func(n simclock.Cycles) { r.env.Charge(ctx, n) }
-	syscall := func(bytes int) {
-		charge(m.SyscallNative + simclock.Cycles(bytes)*m.CopyPerByte)
+	syscalls := func(n, bytes int) {
+		for k := 0; k < n; k++ {
+			charge(m.SyscallNative + simclock.Cycles(bytes)*m.CopyPerByte)
+		}
 	}
 	start := acct.Total()
+	request := ph&gramine.PhaseRequest != 0
 
-	if first {
+	if ph&gramine.PhaseWarmup != 0 {
 		charge(nativeWarmupCycles)
+	}
+	handshake := ph&gramine.PhaseHandshake != 0
+	if handshake && ph.HandshakeFirst() {
+		charge(m.TLSHandshakeServer)
+	}
+	n := 0
+	if ph&gramine.PhasePre != 0 {
+		n = r.syscalls.Pre
+	}
+	if request {
+		n += int(r.env.JitterFor(ctx).Uint64n(3))
+	}
+	syscalls(n, 32)
+	if handshake && !ph.HandshakeFirst() {
 		charge(m.TLSHandshakeServer)
 	}
 
-	jig := int(r.env.JitterFor(ctx).Uint64n(3))
-	for k := 0; k < r.syscalls.Pre+jig; k++ {
-		syscall(32)
+	var bd Breakdown
+	var err error
+	if request {
+		totalStart := acct.Total()
+		syscalls(r.syscalls.Read, in/r.syscalls.Read+1)
+		charge(m.TLSRecordCost(in) + m.HTTPCost(in))
+
+		fnStart := acct.Total()
+		syscalls(r.syscalls.InHandler, 16)
+		err = call.Run(nativeExec{ctx: ctx, rt: r})
+		bd.Functional = acct.Total() - fnStart
+
+		charge(m.HTTPCost(out) + m.TLSRecordCost(out))
+		syscalls(r.syscalls.Write, out/r.syscalls.Write+1)
+		bd.Total = acct.Total() - totalStart
 	}
-
-	functional, total, err := r.requestCensus(ctx, acct, in, out, handler)
-
-	for k := 0; k < r.syscalls.Post; k++ {
-		syscall(32)
+	if ph&gramine.PhasePost != 0 {
+		syscalls(r.syscalls.Post, 32)
 	}
-
-	return Breakdown{
-		Functional: functional,
-		Total:      total,
-		ServerSide: acct.Total() - start,
-	}, err
+	bd.ServerSide = acct.Total() - start
+	return bd, err
 }
 
-// requestCensus charges the per-request half of the native census —
-// mirroring gramine's split so the container-vs-SGX comparison stays
-// apples-to-apples in keep-alive mode too.
-func (r *nativeRuntime) requestCensus(ctx context.Context, acct *simclock.Account, in, out int, handler func(Exec) error) (functional, total simclock.Cycles, err error) {
-	m := r.env.Model
-	charge := func(n simclock.Cycles) { r.env.Charge(ctx, n) }
-	syscall := func(bytes int) {
-		charge(m.SyscallNative + simclock.Cycles(bytes)*m.CopyPerByte)
+func (r *nativeRuntime) Do(ctx context.Context, call Call) error {
+	if err := r.Live(); err != nil {
+		return err
 	}
-
-	totalStart := acct.Total()
-	for k := 0; k < r.syscalls.Read; k++ {
-		syscall(in/r.syscalls.Read + 1)
-	}
-	charge(m.TLSRecordCost(in) + m.HTTPCost(in))
-
-	fnStart := acct.Total()
-	for k := 0; k < r.syscalls.InHandler; k++ {
-		syscall(16)
-	}
-	err = handler(nativeExec{ctx: ctx, rt: r})
-	fnEnd := acct.Total()
-
-	charge(m.HTTPCost(out) + m.TLSRecordCost(out))
-	for k := 0; k < r.syscalls.Write; k++ {
-		syscall(out/r.syscalls.Write + 1)
-	}
-	totalEnd := acct.Total()
-	return fnEnd - fnStart, totalEnd - totalStart, err
-}
-
-// OpenSession mirrors the gramine keep-alive contract natively: the
-// accept machinery and TLS handshake at open, the post machinery at
-// close, only the per-request census per pipelined request.
-func (r *nativeRuntime) OpenSession(ctx context.Context) (RuntimeSession, error) {
-	r.mu.Lock()
-	if !r.running {
-		r.mu.Unlock()
-		return nil, errStopped
-	}
-	first := !r.warm
-	r.warm = true
-	r.mu.Unlock()
-
-	m := r.env.Model
-	ctx = simclock.WithAccount(ctx, simclock.AccountFrom(ctx))
-	charge := func(n simclock.Cycles) { r.env.Charge(ctx, n) }
-	if first {
-		charge(nativeWarmupCycles)
-	}
-	for k := 0; k < r.syscalls.Pre; k++ {
-		charge(m.SyscallNative + 32*m.CopyPerByte)
-	}
-	charge(m.TLSHandshakeServer)
-	return &nativeSession{rt: r, open: true}, nil
-}
-
-type nativeSession struct {
-	rt   *nativeRuntime
-	mu   sync.Mutex
-	open bool
-}
-
-func (s *nativeSession) Serve(ctx context.Context, in, out int, handler func(Exec) error) (Breakdown, error) {
-	s.mu.Lock()
-	open := s.open
-	s.mu.Unlock()
-	if !open {
-		return Breakdown{}, errStopped
-	}
-	r := s.rt
-	r.mu.Lock()
-	if !r.running {
-		r.mu.Unlock()
-		return Breakdown{}, errStopped
-	}
-	r.mu.Unlock()
-
-	m := r.env.Model
-	acct := simclock.AccountFrom(ctx)
-	ctx = simclock.WithAccount(ctx, acct)
-	start := acct.Total()
-
-	// Keep-alive readiness wake-ups, drawn from the same jitter position
-	// ServeRequest uses for its Pre variation.
-	jig := int(r.env.JitterFor(ctx).Uint64n(3))
-	for k := 0; k < jig; k++ {
-		r.env.Charge(ctx, m.SyscallNative+32*m.CopyPerByte)
-	}
-
-	functional, total, err := r.requestCensus(ctx, acct, in, out, handler)
-	return Breakdown{
-		Functional: functional,
-		Total:      total,
-		ServerSide: acct.Total() - start,
-	}, err
-}
-
-func (s *nativeSession) Close(ctx context.Context) error {
-	s.mu.Lock()
-	if !s.open {
-		s.mu.Unlock()
-		return nil
-	}
-	s.open = false
-	s.mu.Unlock()
-
-	r := s.rt
-	r.mu.Lock()
-	if !r.running {
-		r.mu.Unlock()
-		return nil
-	}
-	r.mu.Unlock()
-	m := r.env.Model
-	for k := 0; k < r.syscalls.Post; k++ {
-		r.env.Charge(ctx, m.SyscallNative+32*m.CopyPerByte)
-	}
-	return nil
-}
-
-func (r *nativeRuntime) Do(ctx context.Context, fn func(Exec) error) error {
-	r.mu.Lock()
-	if !r.running {
-		r.mu.Unlock()
-		return errStopped
-	}
-	r.mu.Unlock()
 	// Pin the account so multi-step maintenance aggregates on one ledger.
 	ctx = simclock.WithAccount(ctx, simclock.AccountFrom(ctx))
-	return fn(nativeExec{ctx: ctx, rt: r})
+	return call.Run(nativeExec{ctx: ctx, rt: r})
 }
 
 // DoBatch natively is Do plus the IPC moving the batch in and out of the
 // module process — no transition pair to save, which is exactly the
 // contrast the batching experiment measures.
-func (r *nativeRuntime) DoBatch(ctx context.Context, argBytes, retBytes int, fn func(Exec) error) error {
-	r.mu.Lock()
-	if !r.running {
-		r.mu.Unlock()
-		return errStopped
+func (r *nativeRuntime) DoBatch(ctx context.Context, argBytes, retBytes int, call Call) error {
+	if err := r.Live(); err != nil {
+		return err
 	}
-	r.mu.Unlock()
 	ctx = simclock.WithAccount(ctx, simclock.AccountFrom(ctx))
 	m := r.env.Model
 	r.env.Charge(ctx, m.SyscallNative+simclock.Cycles(argBytes)*m.CopyPerByte)
-	err := fn(nativeExec{ctx: ctx, rt: r})
+	err := call.Run(nativeExec{ctx: ctx, rt: r})
 	r.env.Charge(ctx, m.SyscallNative+simclock.Cycles(retBytes)*m.CopyPerByte)
 	return err
 }
@@ -498,15 +283,9 @@ func (r *nativeRuntime) Stats() sgx.StatsSnapshot { return sgx.StatsSnapshot{} }
 
 func (r *nativeRuntime) AccrueUptime(d time.Duration) { r.env.Clock.AdvanceDuration(d) }
 
-func (r *nativeRuntime) Warm() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.warm
-}
-
 func (r *nativeRuntime) Shutdown() {
+	r.StopServing()
 	r.mu.Lock()
-	r.running = false
 	for k := range r.secrets {
 		delete(r.secrets, k)
 	}

@@ -8,8 +8,12 @@ import (
 	"testing"
 
 	"shield5g/internal/costmodel"
+	"shield5g/internal/hmee/gramine"
 	"shield5g/internal/simclock"
 )
+
+// nopCall is a call that charges nothing.
+var nopCall = callFunc(func(Exec) error { return nil })
 
 // TestNativeRuntimeServeShutdownRace drives concurrent requests against a
 // runtime being shut down (run under -race): every outcome must be either
@@ -31,10 +35,10 @@ func TestNativeRuntimeServeShutdownRace(t *testing.T) {
 					return
 				default:
 				}
-				_, err := rt.ServeRequest(ctx, 40, 80, func(ex Exec) error {
+				_, err := rt.Serve(ctx, nil, 40, 80, callFunc(func(ex Exec) error {
 					ex.Compute(10_000)
 					return nil
-				})
+				}))
 				if err != nil && !errors.Is(err, errStopped) {
 					t.Errorf("worker %d: unexpected error %v", w, err)
 					return
@@ -46,13 +50,13 @@ func TestNativeRuntimeServeShutdownRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if _, err := rt.ServeRequest(context.Background(), 10, 10, func(Exec) error { return nil }); !errors.Is(err, errStopped) {
-		t.Fatalf("ServeRequest after Shutdown = %v, want errStopped", err)
+	if _, err := rt.Serve(context.Background(), nil, 10, 10, nopCall); !errors.Is(err, errStopped) {
+		t.Fatalf("Serve after Shutdown = %v, want errStopped", err)
 	}
 	if _, err := rt.OpenSession(context.Background()); !errors.Is(err, errStopped) {
 		t.Fatalf("OpenSession after Shutdown = %v, want errStopped", err)
 	}
-	if err := rt.Do(context.Background(), func(Exec) error { return nil }); !errors.Is(err, errStopped) {
+	if err := rt.Do(context.Background(), nopCall); !errors.Is(err, errStopped) {
 		t.Fatalf("Do after Shutdown = %v, want errStopped", err)
 	}
 }
@@ -74,7 +78,7 @@ func TestNativeRuntimeWarmupChargedOnce(t *testing.T) {
 			acct := &simclock.Account{}
 			ctx := simclock.WithAccount(context.Background(), acct)
 			ctx = simclock.WithJitter(ctx, simclock.NewJitter(uint64(w)+1))
-			if _, err := rt.ServeRequest(ctx, 40, 80, func(Exec) error { return nil }); err != nil {
+			if _, err := rt.Serve(ctx, nil, 40, 80, nopCall); err != nil {
 				t.Errorf("worker %d: %v", w, err)
 				return
 			}
@@ -108,7 +112,7 @@ func TestNativeSessionMirrorsGramineContract(t *testing.T) {
 	rt := newNativeRuntime(env)
 
 	// Warm the runtime outside the measured window.
-	if _, err := rt.ServeRequest(context.Background(), 40, 80, func(Exec) error { return nil }); err != nil {
+	if _, err := rt.Serve(context.Background(), nil, 40, 80, nopCall); err != nil {
 		t.Fatalf("warm: %v", err)
 	}
 
@@ -123,17 +127,17 @@ func TestNativeSessionMirrorsGramineContract(t *testing.T) {
 	}
 
 	full := measure(func(ctx context.Context) error {
-		_, err := rt.ServeRequest(ctx, 40, 80, func(Exec) error { return nil })
+		_, err := rt.Serve(ctx, nil, 40, 80, nopCall)
 		return err
 	})
 
-	var sess RuntimeSession
+	var sess *gramine.Session
 	open := measure(func(ctx context.Context) (err error) {
 		sess, err = rt.OpenSession(ctx)
 		return err
 	})
 	serve := measure(func(ctx context.Context) error {
-		_, err := sess.Serve(ctx, 40, 80, func(Exec) error { return nil })
+		_, err := rt.Serve(ctx, sess, 40, 80, nopCall)
 		return err
 	})
 	closeCost := measure(func(ctx context.Context) error { return sess.Close(ctx) })
@@ -151,8 +155,29 @@ func TestNativeSessionMirrorsGramineContract(t *testing.T) {
 		t.Fatalf("open+serve+close = %d, want full %d + handshake = %d", got, full, want)
 	}
 
-	if _, err := sess.Serve(context.Background(), 10, 10, func(Exec) error { return nil }); !errors.Is(err, errStopped) {
-		t.Fatalf("Serve on closed session = %v, want errStopped", err)
+	if _, err := rt.Serve(context.Background(), sess, 10, 10, nopCall); !errors.Is(err, gramine.ErrSessionClosed) {
+		t.Fatalf("Serve on closed session = %v, want gramine.ErrSessionClosed", err)
+	}
+}
+
+// TestClosedSessionSentinel pins the one session-closed error every
+// runtime returns for a request on a closed keep-alive session.
+func TestClosedSessionSentinel(t *testing.T) {
+	for _, mode := range inventoryModes() {
+		t.Run(mode.name, func(t *testing.T) {
+			rt := mode.build(t)
+			ctx := context.Background()
+			sess, err := rt.OpenSession(ctx)
+			if err != nil {
+				t.Fatalf("OpenSession: %v", err)
+			}
+			if err := sess.Close(ctx); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if _, err := rt.Serve(ctx, sess, 10, 10, nopCall); !errors.Is(err, gramine.ErrSessionClosed) {
+				t.Fatalf("Serve on closed session = %v, want gramine.ErrSessionClosed", err)
+			}
+		})
 	}
 }
 
@@ -162,12 +187,12 @@ func TestNativeDoBatchChargesCaller(t *testing.T) {
 	rt := newNativeRuntime(env)
 	acct := &simclock.Account{}
 	ctx := simclock.WithAccount(context.Background(), acct)
-	if err := rt.DoBatch(ctx, 640, 1280, func(ex Exec) error {
+	if err := rt.DoBatch(ctx, 640, 1280, callFunc(func(ex Exec) error {
 		for i := 0; i < 8; i++ {
 			ex.Compute(50_000)
 		}
 		return nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatalf("DoBatch: %v", err)
 	}
 	if acct.Total() < 8*50_000 {

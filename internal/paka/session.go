@@ -3,11 +3,13 @@ package paka
 import (
 	"context"
 	"sync"
+
+	"shield5g/internal/hmee/gramine"
 )
 
 // Connection identifies one keep-alive client connection to the P-AKA
 // modules, carried on the request context by the mass-registration
-// drivers. Each module keeps one open RuntimeSession per connection ID,
+// drivers. Each module keeps one open gramine.Session per connection ID,
 // so a worker's pipelined requests reuse the connection instead of
 // re-paying the accept machinery and TLS handshake per UE.
 type Connection struct {
@@ -39,7 +41,7 @@ func ConnectionFrom(ctx context.Context) (Connection, bool) {
 type moduleSession struct {
 	mu     sync.Mutex
 	rt     Runtime
-	sess   RuntimeSession
+	sess   *gramine.Session
 	served int
 }
 
@@ -66,17 +68,19 @@ func (m *Module) dropSessions() {
 	m.sessMu.Unlock()
 }
 
-// serve routes one request through the runtime: the plain per-request
-// path when no keep-alive connection rides ctx, otherwise the
-// connection's open session, recycled every Connection.Batch requests so
-// batch size is a real amortization factor.
-func (m *Module) serve(ctx context.Context, in, out int, handler func(Exec) error) (Breakdown, error) {
+// serve routes one request through the runtime: a one-shot request when
+// no keep-alive connection rides ctx, otherwise the connection's open
+// session, recycled every Connection.Batch requests so batch size is a
+// real amortization factor.
+//
+//shieldlint:hotpath
+func (m *Module) serve(ctx context.Context, in, out int, call Call) (Breakdown, error) {
+	rt := m.rt()
 	conn, ok := ConnectionFrom(ctx)
 	if !ok {
-		return m.rt().ServeRequest(ctx, in, out, handler)
+		return rt.Serve(ctx, nil, in, out, call)
 	}
 
-	rt := m.rt()
 	ms := m.session(conn.ID)
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
@@ -94,7 +98,7 @@ func (m *Module) serve(ctx context.Context, in, out int, handler func(Exec) erro
 		ms.rt, ms.sess, ms.served = rt, sess, 0
 	}
 
-	bd, err := ms.sess.Serve(ctx, in, out, handler)
+	bd, err := rt.Serve(ctx, ms.sess, in, out, call)
 	if err != nil {
 		// Never reuse a session that just failed — the retry path must
 		// reopen on whatever runtime is then current.
