@@ -23,6 +23,7 @@ import (
 	"strings"
 	"sync"
 
+	"shield5g/internal/crypto/curve25519"
 	"shield5g/internal/crypto/hashpool"
 )
 
@@ -157,7 +158,13 @@ func (s *SUCI) NullSUPI() (SUPI, error) {
 
 // Conceal encrypts the MSIN of supi to the home-network public key hnPub
 // using ECIES Profile A, producing a SUCI. rand supplies the ephemeral key
-// entropy.
+// entropy: exactly 32 bytes, used as the X25519 private scalar, so a
+// seeded rand reproduces the SUCI byte for byte.
+//
+// Both scalar multiplications run on fixed-base combs: the base point's
+// is built once per process, the home-network key's on its first use
+// (see homeNetworkTable). A key that is no point of Curve25519 is
+// rejected, since no SUCI concealed to it could ever be deconcealed.
 func Conceal(rand io.Reader, supi SUPI, routingIndicator string, hnPub []byte, keyID byte) (*SUCI, error) {
 	if err := supi.Validate(); err != nil {
 		return nil, err
@@ -165,29 +172,29 @@ func Conceal(rand io.Reader, supi SUPI, routingIndicator string, hnPub []byte, k
 	if len(hnPub) != ephemeralKeyLen {
 		return nil, fmt.Errorf("suci: home network public key length %d, want %d", len(hnPub), ephemeralKeyLen)
 	}
-	ephPriv, err := ecdh.X25519().GenerateKey(rand)
-	if err != nil {
-		return nil, fmt.Errorf("suci: generate ephemeral key: %w", err)
-	}
-	peer, err := ecdh.X25519().NewPublicKey(hnPub)
+	hn, err := homeNetworkTable(hnPub)
 	if err != nil {
 		return nil, fmt.Errorf("suci: parse home network public key: %w", err)
 	}
-	shared, err := ephPriv.ECDH(peer)
-	if err != nil {
-		return nil, fmt.Errorf("suci: ECDH: %w", err)
-	}
-	ephPub := ephPriv.PublicKey().Bytes()
 	ks := kdfScratchPool.Get().(*kdfScratch)
-	encKey, icb, macKey := deriveKeys(shared, ephPub, ks)
-
+	if _, err := io.ReadFull(rand, ks.eph[:]); err != nil {
+		putKDFScratch(ks)
+		return nil, fmt.Errorf("suci: generate ephemeral key: %w", err)
+	}
 	// Assemble ephPub || ciphertext || tag directly in the output buffer.
-	out := make([]byte, len(ephPub)+len(supi.MSIN)+tagLen)
-	copy(out, ephPub)
-	ciphertext := out[len(ephPub) : len(ephPub)+len(supi.MSIN)]
+	out := make([]byte, ephemeralKeyLen+len(supi.MSIN)+tagLen)
+	ephPub := out[:ephemeralKeyLen]
+	curve25519.ScalarMultPair((*[32]byte)(ephPub), &ks.shared, &ks.eph, curve25519.Base(), hn)
+	var zero [32]byte
+	if subtle.ConstantTimeCompare(ks.shared[:], zero[:]) == 1 {
+		putKDFScratch(ks)
+		return nil, errLowOrder
+	}
+	encKey, icb, macKey := deriveKeys(ks.shared[:], ephPub, ks)
+	ciphertext := out[ephemeralKeyLen : ephemeralKeyLen+len(supi.MSIN)]
 	ctr(encKey, icb, ciphertext, []byte(supi.MSIN))
 	computeTagInto(macKey, ciphertext, &ks.tag)
-	copy(out[len(ephPub)+len(supi.MSIN):], ks.tag[:tagLen])
+	copy(out[ephemeralKeyLen+len(supi.MSIN):], ks.tag[:tagLen])
 	putKDFScratch(ks)
 	return &SUCI{
 		MCC:              supi.MCC,
@@ -198,6 +205,11 @@ func Conceal(rand io.Reader, supi SUPI, routingIndicator string, hnPub []byte, k
 		SchemeOutput:     out,
 	}, nil
 }
+
+// errLowOrder reports a home-network key of low order: every X25519
+// shared secret with it is all zero, which RFC 7748 §6.1 rejects (as
+// crypto/ecdh does).
+var errLowOrder = errors.New("suci: ECDH: home network public key has low order")
 
 // Deconceal recovers the SUPI from a Profile A SUCI using the home-network
 // private key. It returns ErrIntegrity if the MAC tag does not verify.
@@ -252,20 +264,24 @@ func (k *HomeNetworkKey) Deconceal(s *SUCI) (SUPI, error) {
 	return supi, nil
 }
 
-// kdfScratch holds one concealment's derived key block, counter word and
-// MAC tag. Pooled because the slices handed to hash interfaces would
-// otherwise escape to the heap on every Conceal/Deconceal.
+// kdfScratch holds one concealment's ephemeral scalar and shared secret
+// (Conceal only), derived key block, counter word and MAC tag. Pooled
+// because the slices handed to the entropy reader and hash interfaces
+// would otherwise escape to the heap on every Conceal/Deconceal.
 type kdfScratch struct {
-	out [encKeyLen + icbLen + macKeyLen]byte
-	ctr [4]byte
-	tag [sha256.Size]byte
+	eph    [32]byte
+	shared [32]byte
+	out    [encKeyLen + icbLen + macKeyLen]byte
+	ctr    [4]byte
+	tag    [sha256.Size]byte
 }
 
 var kdfScratchPool = sync.Pool{New: func() any { return new(kdfScratch) }}
 
-// putKDFScratch scrubs the derived enc/MAC keys (and tag) before
-// recycling, matching the discipline hashpool.PutHMAC establishes: pooled
-// memory never retains key material between operations.
+// putKDFScratch scrubs the ephemeral scalar, shared secret, derived
+// enc/MAC keys and tag before recycling, matching the discipline
+// hashpool.PutHMAC establishes: pooled memory never retains key material
+// between operations.
 func putKDFScratch(ks *kdfScratch) {
 	*ks = kdfScratch{}
 	kdfScratchPool.Put(ks)
