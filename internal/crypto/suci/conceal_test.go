@@ -247,6 +247,31 @@ func TestConcealReadsExactly32Bytes(t *testing.T) {
 	}
 }
 
+// TestGenerateHomeNetworkKeyReadsExactly32Bytes pins the same contract
+// for the home-network key: a seeded entropy stream shared with later
+// consumers (a slice's RAND draws) must not shift by a random extra byte.
+func TestGenerateHomeNetworkKeyReadsExactly32Bytes(t *testing.T) {
+	var first []byte
+	for run := 0; run < 8; run++ {
+		r := &countingReader{r: rand.New(rand.NewSource(42))}
+		k, err := GenerateHomeNetworkKey(r, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.n != 32 {
+			t.Fatalf("run %d: GenerateHomeNetworkKey read %d entropy bytes, want 32", run, r.n)
+		}
+		if first == nil {
+			first = k.PublicKey()
+		} else if !bytes.Equal(k.PublicKey(), first) {
+			t.Fatalf("run %d: same seed gave a different key", run)
+		}
+	}
+	if _, err := GenerateHomeNetworkKey(bytes.NewReader(make([]byte, 31)), 1); err == nil {
+		t.Fatal("GenerateHomeNetworkKey accepted 31 bytes of entropy")
+	}
+}
+
 // TestConcealAllocs pins Conceal at no more than six allocations (the
 // output buffer, the SUCI, and the AES block among them) and the cached
 // comb lookup at none.

@@ -104,7 +104,14 @@ type HomeNetworkKey struct {
 // GenerateHomeNetworkKey creates a Curve25519 home-network key pair using
 // entropy from rand.
 func GenerateHomeNetworkKey(rand io.Reader, id byte) (*HomeNetworkKey, error) {
-	priv, err := ecdh.X25519().GenerateKey(rand)
+	// Exactly 32 bytes: ecdh's GenerateKey reads one more at random, which
+	// would shift every later draw of a seeded entropy stream.
+	var raw [32]byte
+	if _, err := io.ReadFull(rand, raw[:]); err != nil {
+		return nil, fmt.Errorf("suci: generate home network key: %w", err)
+	}
+	priv, err := ecdh.X25519().NewPrivateKey(raw[:])
+	clear(raw[:])
 	if err != nil {
 		return nil, fmt.Errorf("suci: generate home network key: %w", err)
 	}
