@@ -79,8 +79,9 @@ shard-bench:
 # counts, so one iteration is a stable gate), a short-horizon
 # signaling-storm smoke through the gnbsim CLI (open-loop replay,
 # limiter armed — exercises the overload stack end to end in under a
-# second), short fuzz passes over the binary SBI frame parser and over
-# SUCI concealment (against crypto/ecdh) and deconcealment, a
+# second), short fuzz passes over the binary SBI frame parser, over
+# SUCI concealment (against crypto/ecdh) and deconcealment, and over the
+# NAS plain-message decoder and protected-message Unprotect, a
 # sharded-core smoke through the gnbsim CLI (4 replicas behind
 # SUPI-affinity routing with the full fast path on), a switchless-ring
 # smoke through the gnbsim CLI (ring-served ECALLs on the same fast
@@ -99,6 +100,8 @@ ci: build
 	$(GO) test -run '^$$' -fuzz '^FuzzFramePayload$$' -fuzztime 5s ./internal/sbi/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzConcealMatchesECDH$$' -fuzztime 5s ./internal/crypto/suci
 	$(GO) test -run '^$$' -fuzz '^FuzzDeconceal$$' -fuzztime 5s ./internal/crypto/suci
+	$(GO) test -run '^$$' -fuzz '^FuzzNASDecode$$' -fuzztime 5s ./internal/nas
+	$(GO) test -run '^$$' -fuzz '^FuzzUnprotect$$' -fuzztime 5s ./internal/nas
 	$(MAKE) bench-compare
 	BENCH_SHARD_JSON=$(CURDIR)/BENCH_shard_scaling.candidate.json \
 	$(GO) run ./cmd/experiments -seed 7 -iterations 160 shardscale

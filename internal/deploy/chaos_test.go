@@ -29,7 +29,7 @@ func TestSGXCrashRecoverySealedRestore(t *testing.T) {
 	}
 
 	m := s.Modules[paka.EUDM]
-	if err := s.RestartModule(ctx, paka.EUDM); err != nil {
+	if err := s.RestartModule(ctx, 0, paka.EUDM); err != nil {
 		t.Fatalf("RestartModule: %v", err)
 	}
 	if m.Restarts() != 1 {
@@ -51,7 +51,7 @@ func TestSGXRestartChargesReload(t *testing.T) {
 	s := newTestSlice(t, paka.SGX)
 	var acct simclock.Account
 	ctx := simclock.WithAccount(context.Background(), &acct)
-	if err := s.RestartModule(ctx, paka.EUDM); err != nil {
+	if err := s.RestartModule(ctx, 0, paka.EUDM); err != nil {
 		t.Fatalf("RestartModule: %v", err)
 	}
 	reload := s.Env.Model.Duration(acct.Total())
@@ -71,7 +71,7 @@ func TestContainerCrashRecoveryReprovisions(t *testing.T) {
 		t.Fatalf("register before crash: %v", err)
 	}
 
-	if err := s.RestartModule(ctx, paka.EUDM); err != nil {
+	if err := s.RestartModule(ctx, 0, paka.EUDM); err != nil {
 		t.Fatalf("RestartModule: %v", err)
 	}
 	if _, err := s.GNB.RegisterUE(ctx, device); err != nil {

@@ -95,9 +95,9 @@ type SliceConfig struct {
 	// Replicas shards the core horizontally: N vertical replica slices
 	// (AMF -> AUSF -> UDM -> P-AKA modules each) behind SUPI-affinity
 	// consistent-hash routing at the gNB, with the NRF pushing versioned
-	// topology snapshots to the data plane. Values <= 1 build the
-	// singleton core, bit-identical to the seed. NRF, UDR, SMF and UPF
-	// stay shared across replicas.
+	// topology snapshots to the data plane. Every count takes the same
+	// construction path; values <= 1 build one shard, the singleton core.
+	// NRF, UDR, SMF and UPF stay shared across replicas.
 	Replicas int
 	// ShardSize caps each tenant's (gNB, PLMN) shuffle shard to this many
 	// replicas, so a noisy tenant only degrades its own subset; 0 lets
@@ -185,22 +185,21 @@ type Slice struct {
 	// through RestartModule.
 	Chaos *chaos.Injector
 
-	// Admission is the AMF's priority admission controller (nil unless
-	// SliceConfig.Overload.Admission was set). In a sharded slice it is
-	// shard 0's controller; see Shards for the rest. Disarmed until
-	// SetOverloadArmed(true).
+	// Admission is shard 0's priority admission controller (nil unless
+	// SliceConfig.Overload.Admission was set); see Shards for the rest.
+	// Disarmed until SetOverloadArmed(true).
 	Admission *admission.Controller
 
-	// Shards lists the vertical core replicas in shard-index order.
-	// Always populated: a singleton slice is one shard whose members
-	// alias the top-level UDM/AUSF/AMF/Modules fields.
+	// Shards lists the vertical core replicas in shard-index order; a
+	// singleton slice is one shard. The top-level UDM/AUSF/AMF/Modules/
+	// Remote*/MonoUDM/Admission fields alias shard 0's members.
 	Shards []*CoreShard
 
 	// Topology is the NRF's snapshot builder — the control plane that
-	// pushes routing snapshots into Router. nil for singleton slices.
+	// pushes routing snapshots into Router.
 	Topology *topo.Builder
 	// Router is the gNB's data-plane routing view (last-known-good
-	// snapshot). nil for singleton slices.
+	// snapshot).
 	Router *topology.Router
 
 	resil   *sbi.ResilienceConfig
@@ -265,14 +264,12 @@ type CoreShard struct {
 	AUSFService string
 }
 
-// NewSlice builds and starts a slice. For SGX isolation the enclave build
-// cost (Fig. 7) is charged to ctx's account. Replicas > 1 selects the
-// sharded construction path (see replicas.go); the singleton path below
-// stays bit-identical to the seed.
+// NewSlice builds and starts a slice: the shared NRF and UDR, each core
+// replica's authentication chain (a singleton core is one shard), the
+// shared UPF and SMF, the replicas' AMFs, the topology control plane and
+// the gNB. For SGX isolation the enclave build cost (Fig. 7) is charged
+// to ctx's account.
 func NewSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
-	if cfg.Replicas > 1 {
-		return newShardedSlice(ctx, cfg)
-	}
 	if cfg.MCC == "" {
 		cfg.MCC = "001"
 	}
@@ -305,7 +302,6 @@ func NewSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
 		Env:      env,
 		Platform: platform,
 		Registry: sbi.NewRegistry(),
-		Modules:  make(map[paka.ModuleKind]*paka.Module),
 		entropy:  entropy,
 		attested: make(map[*paka.Module]bool),
 	}
@@ -327,13 +323,6 @@ func NewSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
 		r := sbi.DefaultResilienceConfig()
 		s.resil = &r
 	}
-	if cfg.Overload != nil && cfg.Overload.Admission != nil {
-		acfg := *cfg.Overload.Admission
-		if acfg.Clock == nil {
-			acfg.Clock = env.Clock
-		}
-		s.Admission = admission.NewController(acfg)
-	}
 
 	hnKey, err := suci.GenerateHomeNetworkKey(entropy, 1)
 	if err != nil {
@@ -348,43 +337,21 @@ func NewSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
 		return nil, fmt.Errorf("deploy: UDR: %w", err)
 	}
 
-	udmFns, ausfFns, amfFns, err := s.buildFunctions(ctx, cfg)
-	if err != nil {
-		return nil, err
+	// One GSC signing key for all module images of this operator (only
+	// drawn when modules are actually extracted).
+	var signKey ed25519.PrivateKey
+	if cfg.Isolation != paka.Monolithic {
+		if _, signKey, err = ed25519.GenerateKey(entropy); err != nil {
+			return nil, fmt.Errorf("deploy: GSC sign key: %w", err)
+		}
 	}
-
 	hmee := cfg.Isolation == paka.SGX || cfg.Isolation == paka.SEV
-	// Reprovision lets the UDM push a long-term key back into an
-	// execution environment that lost its key store to a crash-restart
-	// (the container runtime keeps no sealed backup).
-	var reprovision func(ctx context.Context, supi string, k []byte) error
-	var coalesce func() int
-	if m, ok := s.Modules[paka.EUDM]; ok {
-		reprovision = func(ctx context.Context, supi string, k []byte) error {
-			return m.ProvisionSubscriber(ctx, supi, k)
+	for r := 0; r < max(1, cfg.Replicas); r++ {
+		shard, err := s.buildShard(ctx, r, signKey, hmee)
+		if err != nil {
+			return nil, err
 		}
-		if cfg.Switchless {
-			// Refill batches widen opportunistically with the demand queued
-			// on the eUDM's submission ring — cross-worker call coalescing.
-			coalesce = m.RingOccupancy
-		}
-	}
-	udmInvoker := s.buildInvoker(udm.ServiceName)
-	if s.UDM, err = udm.New(ctx, udm.Config{
-		Env: env, Registry: s.Registry, Invoker: udmInvoker,
-		Functions: udmFns, HomeNetworkKey: hnKey, HMEE: hmee, Entropy: entropy,
-		Reprovision: reprovision, CoalesceHint: coalesce,
-		AVPoolDepth: cfg.AVPoolDepth, AVBatchSize: cfg.AVBatchSize,
-	}); err != nil {
-		return nil, fmt.Errorf("deploy: UDM: %w", err)
-	}
-
-	ausfInvoker := s.buildInvoker(ausf.ServiceName)
-	if s.AUSF, err = ausf.New(ctx, ausf.Config{
-		Env: env, Registry: s.Registry, Invoker: ausfInvoker,
-		Functions: ausfFns, HMEE: hmee,
-	}); err != nil {
-		return nil, fmt.Errorf("deploy: AUSF: %w", err)
+		s.Shards = append(s.Shards, shard)
 	}
 
 	if s.UPF, err = upf.New(env, s.Registry); err != nil {
@@ -394,56 +361,63 @@ func NewSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
 	if s.SMF, err = smf.New(ctx, smf.Config{Env: env, Registry: s.Registry, Invoker: smfInvoker}); err != nil {
 		return nil, fmt.Errorf("deploy: SMF: %w", err)
 	}
+	amfs := make([]*amf.AMF, len(s.Shards))
+	for i, shard := range s.Shards {
+		if err := s.buildAMF(ctx, shard, hmee); err != nil {
+			return nil, err
+		}
+		amfs[i] = shard.AMF
+	}
 
-	amfInvoker := s.buildInvoker(amf.ServiceName)
-	if s.AMF, err = amf.New(ctx, amf.Config{
-		Env: env, Registry: s.Registry, Invoker: amfInvoker,
-		Functions: amfFns, MCC: cfg.MCC, MNC: cfg.MNC, HMEE: hmee,
-		Admission: s.Admission,
-	}); err != nil {
-		return nil, fmt.Errorf("deploy: AMF: %w", err)
+	first := s.Shards[0]
+	s.UDM, s.AUSF, s.AMF = first.UDM, first.AUSF, first.AMF
+	s.Modules, s.MonoUDM = first.Modules, first.MonoUDM
+	s.RemoteUDM, s.RemoteAUSF, s.RemoteAMF = first.RemoteUDM, first.RemoteAUSF, first.RemoteAMF
+	s.Admission = first.Admission
+
+	// Topology control plane: the NRF's builder owns the authoritative
+	// replica set and pushes sealed snapshots into the gNB's router. The
+	// router is subscribed before the first publish, so epoch 1 is its
+	// catch-up-free baseline.
+	s.Topology = topo.NewBuilder()
+	s.Router = topology.NewRouter()
+	s.Topology.SetShardSize(cfg.ShardSize)
+	if err := s.Topology.Subscribe(s.Router); err != nil {
+		return nil, fmt.Errorf("deploy: router subscription: %w", err)
+	}
+	res, err := s.SetRoutableReplicas(len(s.Shards))
+	if err != nil {
+		return nil, err
+	}
+	if res.Nacked > 0 {
+		return nil, fmt.Errorf("deploy: initial topology push nacked (epoch %d)", res.Epoch)
 	}
 
 	if s.GNB, err = gnb.New(gnb.Config{
-		Env: env, AMF: s.AMF, UPF: s.UPF, MCC: cfg.MCC, MNC: cfg.MNC, Radio: cfg.Radio,
+		Env: env, AMFs: amfs, Router: s.Router, UPF: s.UPF,
+		MCC: cfg.MCC, MNC: cfg.MNC, Radio: cfg.Radio,
 	}); err != nil {
 		return nil, fmt.Errorf("deploy: gNB: %w", err)
 	}
 
 	if s.Chaos != nil {
-		for kind, m := range s.Modules {
-			if e := m.Enclave(); e != nil {
-				s.Chaos.RegisterEnclave(m.ServiceName(), e)
-			}
-			// Only runtimes that can rebuild themselves get a crash hook;
-			// for the rest a crash draw degrades to a clean call.
-			if cfg.Isolation == paka.SGX || cfg.Isolation == paka.Container {
-				kind := kind
-				s.Chaos.RegisterCrash(m.ServiceName(), func(ctx context.Context) error {
-					return s.RestartModule(ctx, kind)
-				})
+		for _, shard := range s.Shards {
+			for kind, m := range shard.Modules {
+				if e := m.Enclave(); e != nil {
+					s.Chaos.RegisterEnclave(m.ServiceName(), e)
+				}
+				// Only runtimes that can rebuild themselves get a crash
+				// hook; for the rest a crash draw degrades to a clean call.
+				if cfg.Isolation == paka.SGX || cfg.Isolation == paka.Container {
+					kind, idx := kind, shard.Index
+					s.Chaos.RegisterCrash(m.ServiceName(), func(ctx context.Context) error {
+						return s.RestartModule(ctx, idx, kind)
+					})
+				}
 			}
 		}
 		s.Chaos.SetArmed(true)
 	}
-	// The singleton core is one shard whose members alias the top-level
-	// fields, so shard-generic consumers (overload wiring, provisioning,
-	// counter aggregation) have a single code path.
-	s.Shards = []*CoreShard{{
-		Index:       0,
-		Name:        "shard-0",
-		UDM:         s.UDM,
-		AUSF:        s.AUSF,
-		AMF:         s.AMF,
-		Modules:     s.Modules,
-		MonoUDM:     s.MonoUDM,
-		RemoteUDM:   s.RemoteUDM,
-		RemoteAUSF:  s.RemoteAUSF,
-		RemoteAMF:   s.RemoteAMF,
-		Admission:   s.Admission,
-		UDMService:  udm.ServiceName,
-		AUSFService: ausf.ServiceName,
-	}}
 	s.wireOverload()
 	return s, nil
 }
@@ -582,47 +556,6 @@ func (s *Slice) buildInvoker(from string) sbi.Invoker {
 	return inv
 }
 
-// buildFunctions creates the three AKA execution environments under the
-// configured isolation mode.
-func (s *Slice) buildFunctions(ctx context.Context, cfg SliceConfig) (paka.UDMFunctions, paka.AUSFFunctions, paka.AMFFunctions, error) {
-	if cfg.Isolation == paka.Monolithic {
-		s.MonoUDM = paka.NewMonolithicUDM(s.Env)
-		return s.MonoUDM, paka.NewMonolithicAUSF(s.Env), paka.NewMonolithicAMF(s.Env), nil
-	}
-
-	// One GSC signing key for all module images of this operator.
-	_, signKey, err := ed25519.GenerateKey(s.entropy)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("deploy: GSC sign key: %w", err)
-	}
-	for _, kind := range paka.Kinds() {
-		m, err := paka.New(ctx, paka.Config{
-			Kind:             kind,
-			Isolation:        cfg.Isolation,
-			Env:              s.Env,
-			Platform:         s.Platform,
-			Registry:         s.Registry,
-			EnclaveSizeBytes: cfg.EnclaveSizeBytes,
-			MaxThreads:       cfg.MaxThreads,
-			DisablePreheat:   cfg.DisablePreheat,
-			SignKey:          signKey,
-			// Pool refills enter the enclave via batch ECALLs, which need
-			// a TCS slot the resident threads do not hold.
-			ReserveBatchTCS: kind == paka.EUDM && cfg.AVPoolDepth > 0,
-			Switchless:      cfg.Switchless,
-		})
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("deploy: %s module: %w", kind, err)
-		}
-		s.Modules[kind] = m
-	}
-
-	s.RemoteUDM = paka.NewRemoteUDM(s.buildInvoker("udm"), s.Env)
-	s.RemoteAUSF = paka.NewRemoteAUSF(s.buildInvoker("ausf"), s.Env)
-	s.RemoteAMF = paka.NewRemoteAMF(s.buildInvoker("amf"), s.Env)
-	return s.RemoteUDM, s.RemoteAUSF, s.RemoteAMF, nil
-}
-
 // attestEUDM verifies the eUDM execution environment's hardware-rooted
 // attestation evidence before any subscriber key is released to it — the
 // Key Issue 12/13 deployment-validation step of the paper's discussion.
@@ -667,43 +600,13 @@ func (s *Slice) verifyAttestation(m *paka.Module) error {
 	return nil
 }
 
-// RestartModule models a whole-module crash: the runtime (and enclave,
-// under SGX) is destroyed, rebuilt from the retained configuration — which
-// re-charges the paper's Fig. 7 load cost to ctx's account — re-attested,
-// and, under SGX, its key store restored from sealed backups. The fault
-// injector, when present, is repointed at the fresh enclave.
-func (s *Slice) RestartModule(ctx context.Context, kind paka.ModuleKind) error {
-	m, ok := s.Modules[kind]
-	if !ok {
-		return fmt.Errorf("deploy: no %s module to restart", kind)
-	}
-	if err := m.Restart(ctx); err != nil {
-		return fmt.Errorf("deploy: restart %s: %w", kind, err)
-	}
-	if s.Chaos != nil {
-		s.Chaos.RegisterEnclave(m.ServiceName(), m.Enclave())
-	}
-	// The redeployed environment must re-prove itself before it is
-	// trusted again (the paper's deployment-validation step).
-	if err := s.verifyAttestation(m); err != nil {
-		return err
-	}
-	if kind == paka.EUDM {
-		s.attestMu.Lock()
-		s.attested[m] = true
-		s.attestMu.Unlock()
-		if s.UDM != nil {
-			// Vectors minted before the crash must never be served after
-			// it: the fresh key store may have rebased sequence numbers.
-			s.UDM.InvalidateAVPool()
-		}
-	}
-	return nil
-}
-
-// RestartShardModule is RestartModule addressed at one replica of a
-// sharded slice.
-func (s *Slice) RestartShardModule(ctx context.Context, shard int, kind paka.ModuleKind) error {
+// RestartModule models a whole-module crash of one shard's module: the
+// runtime (and enclave, under SGX) is destroyed, rebuilt from the
+// retained configuration — which re-charges the paper's Fig. 7 load cost
+// to ctx's account — re-attested, and, under SGX, its key store restored
+// from sealed backups. The fault injector, when present, is repointed at
+// the fresh enclave.
+func (s *Slice) RestartModule(ctx context.Context, shard int, kind paka.ModuleKind) error {
 	if shard < 0 || shard >= len(s.Shards) {
 		return fmt.Errorf("deploy: no shard %d", shard)
 	}
@@ -718,6 +621,8 @@ func (s *Slice) RestartShardModule(ctx context.Context, shard int, kind paka.Mod
 	if s.Chaos != nil {
 		s.Chaos.RegisterEnclave(m.ServiceName(), m.Enclave())
 	}
+	// The redeployed environment must re-prove itself before it is
+	// trusted again (the paper's deployment-validation step).
 	if err := s.verifyAttestation(m); err != nil {
 		return err
 	}
@@ -725,9 +630,9 @@ func (s *Slice) RestartShardModule(ctx context.Context, shard int, kind paka.Mod
 		s.attestMu.Lock()
 		s.attested[m] = true
 		s.attestMu.Unlock()
-		if c.UDM != nil {
-			c.UDM.InvalidateAVPool()
-		}
+		// Vectors minted before the crash must never be served after it:
+		// the fresh key store may have rebased sequence numbers.
+		c.UDM.InvalidateAVPool()
 	}
 	return nil
 }
@@ -780,15 +685,9 @@ func (s *Slice) ProvisionSubscriber(ctx context.Context, supi suci.SUPI, k, opc 
 // and one enclave crossing, and its first AVPoolDepth authentications
 // then hit the pool instead of paying a synchronous cold-start refill.
 func (s *Slice) PrewarmAVPool(ctx context.Context, supis []string) error {
-	if s.UDM == nil {
-		return fmt.Errorf("deploy: slice has no UDM")
-	}
 	snn := kdf.ServingNetworkName(s.Config.MCC, s.Config.MNC)
-	if len(s.Shards) <= 1 {
-		return s.UDM.PrewarmAVPool(ctx, supis, snn)
-	}
-	// Sharded slices prewarm each SUPI only on its owning replica: the
-	// other replicas would bank vectors nothing ever drains.
+	// Each SUPI is prewarmed only on its owning replica: the other
+	// replicas would bank vectors nothing ever drains.
 	perShard := make([][]string, len(s.Shards))
 	for _, supi := range supis {
 		idx := s.GNB.ShardOf(supi)
@@ -830,12 +729,8 @@ func (s *Slice) StopNRF() {
 // the snapshot is always Shards[i] — so the gNB's static AMF bindings
 // stay index-aligned; shards outside the prefix keep running and their
 // keys stay provisioned, so restoring n later is loss-free. Returns the
-// push result (epoch plus ack/nack counts). Only valid on sharded
-// slices.
+// push result (epoch plus ack/nack counts).
 func (s *Slice) SetRoutableReplicas(n int) (topo.PushResult, error) {
-	if s.Topology == nil {
-		return topo.PushResult{}, fmt.Errorf("deploy: singleton slice has no topology builder")
-	}
 	if n < 1 || n > len(s.Shards) {
 		return topo.PushResult{}, fmt.Errorf("deploy: routable replicas %d out of range [1,%d]", n, len(s.Shards))
 	}

@@ -1,39 +1,30 @@
-// Sharded-core construction: N vertical replica slices (AMF -> AUSF ->
-// UDM -> P-AKA modules each) behind SUPI-affinity consistent-hash routing
-// at the gNB. The NRF, UDR, SMF and UPF stay shared — only the
-// authentication chain is replicated, because it is the chain the paper
-// shields and the chain a signaling storm saturates.
+// Core replica construction. Every slice runs its authentication chain as
+// one or more vertical replicas (AMF -> AUSF -> UDM -> P-AKA modules each)
+// behind SUPI-affinity consistent-hash routing at the gNB; a singleton
+// core is a fleet of one shard. The NRF, UDR, SMF and UPF stay shared —
+// only the authentication chain is replicated, because it is the chain
+// the paper shields and the chain a signaling storm saturates.
 //
-// Shard bindings are static: shard r's AMF calls shard r's AUSF calls
-// shard r's UDM calls shard r's eUDM, all by configured service name.
-// The NRF (via the topo.Builder) only ever influences WHICH shard a SUPI
-// routes to, never how a shard reaches its own members — so a dead NRF
-// cannot take registration down.
+// Shard 0 keeps the base service names and resolves its chain through
+// NRF discovery at construction — the paper's HMEE trust-domain lookup.
+// Replicas r >= 1 bind by service name: discovery answers with the lowest
+// instance ID, which is always shard 0's ("udm-1" < "udm-r1-1"), so the
+// NRF cannot address them. Either way every binding is fixed once the
+// slice is up: the NRF (via the topo.Builder) only ever influences WHICH
+// shard a SUPI routes to, never how a shard reaches its own members — so
+// a dead NRF cannot take registration down.
 package deploy
 
 import (
 	"context"
 	"crypto/ed25519"
-	"crypto/rand"
 	"fmt"
 
 	"shield5g/internal/admission"
-	"shield5g/internal/chaos"
-	"shield5g/internal/costmodel"
-	"shield5g/internal/crypto/suci"
-	"shield5g/internal/gnb"
-	"shield5g/internal/hmee/sgx"
 	"shield5g/internal/nf/amf"
 	"shield5g/internal/nf/ausf"
-	"shield5g/internal/nf/nrf"
-	"shield5g/internal/nf/nrf/topo"
-	"shield5g/internal/nf/smf"
 	"shield5g/internal/nf/udm"
-	"shield5g/internal/nf/udr"
-	"shield5g/internal/nf/upf"
 	"shield5g/internal/paka"
-	"shield5g/internal/sbi"
-	"shield5g/internal/topology"
 )
 
 // shardSuffix names shard r's services: shard 0 keeps the base names
@@ -46,163 +37,21 @@ func shardSuffix(r int) string {
 	return fmt.Sprintf("-r%d", r)
 }
 
-// newShardedSlice is the Replicas > 1 construction path of NewSlice. It
-// mirrors the singleton path's order — shared infrastructure first, then
-// each replica's module set and VNF chain, then the gNB — and finishes by
-// standing up the topology control plane and publishing epoch 1.
-func newShardedSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
-	if cfg.MCC == "" {
-		cfg.MCC = "001"
+// staticBinding is the peer service replica r binds its client to: ""
+// for shard 0, which discovers that same service through the NRF.
+func staticBinding(r int, service string) string {
+	if r == 0 {
+		return ""
 	}
-	if cfg.MNC == "" {
-		cfg.MNC = "01"
-	}
-	if cfg.Isolation == 0 {
-		cfg.Isolation = paka.SGX
-	}
-	entropy := cfg.Entropy
-	if entropy == nil {
-		entropy = rand.Reader
-	}
-	env := cfg.Env
-	if env == nil {
-		env = costmodel.NewEnv(nil, cfg.Seed, nil)
-	}
-	platform := cfg.Platform
-	if platform == nil && cfg.Isolation == paka.SGX {
-		var err error
-		platform, err = sgx.NewPlatform(sgx.PlatformConfig{Seed: cfg.Seed, Entropy: entropy})
-		if err != nil {
-			return nil, fmt.Errorf("deploy: SGX platform: %w", err)
-		}
-	}
-
-	s := &Slice{
-		Config:   cfg,
-		Env:      env,
-		Platform: platform,
-		Registry: sbi.NewRegistry(),
-		entropy:  entropy,
-		attested: make(map[*paka.Module]bool),
-	}
-	if cfg.Chaos != nil {
-		s.Chaos = chaos.NewInjector(env, *cfg.Chaos)
-		s.Chaos.SetArmed(false)
-	}
-	switch {
-	case cfg.Resilience != nil:
-		r := *cfg.Resilience
-		s.resil = &r
-	case cfg.Chaos != nil:
-		r := sbi.DefaultResilienceConfig()
-		s.resil = &r
-	case cfg.Overload != nil && cfg.Overload.Throttle:
-		r := sbi.DefaultResilienceConfig()
-		s.resil = &r
-	}
-
-	hnKey, err := suci.GenerateHomeNetworkKey(entropy, 1)
-	if err != nil {
-		return nil, fmt.Errorf("deploy: home network key: %w", err)
-	}
-	s.HomeNetworkKey = hnKey
-
-	// Shared control plane and user plane — one of each across all shards.
-	if s.NRF, err = nrf.New(env, s.Registry); err != nil {
-		return nil, fmt.Errorf("deploy: NRF: %w", err)
-	}
-	if s.UDR, err = udr.New(env, s.Registry); err != nil {
-		return nil, fmt.Errorf("deploy: UDR: %w", err)
-	}
-	if s.UPF, err = upf.New(env, s.Registry); err != nil {
-		return nil, fmt.Errorf("deploy: UPF: %w", err)
-	}
-	smfInvoker := s.buildInvoker(smf.ServiceName)
-	if s.SMF, err = smf.New(ctx, smf.Config{Env: env, Registry: s.Registry, Invoker: smfInvoker}); err != nil {
-		return nil, fmt.Errorf("deploy: SMF: %w", err)
-	}
-
-	// One GSC signing key for all module images of this operator, as in
-	// the singleton path (only drawn when modules are actually extracted).
-	var signKey ed25519.PrivateKey
-	if cfg.Isolation != paka.Monolithic {
-		if _, signKey, err = ed25519.GenerateKey(entropy); err != nil {
-			return nil, fmt.Errorf("deploy: GSC sign key: %w", err)
-		}
-	}
-	hmee := cfg.Isolation == paka.SGX || cfg.Isolation == paka.SEV
-
-	amfs := make([]*amf.AMF, cfg.Replicas)
-	for r := 0; r < cfg.Replicas; r++ {
-		shard, err := s.buildShard(ctx, cfg, r, signKey, hmee)
-		if err != nil {
-			return nil, err
-		}
-		s.Shards = append(s.Shards, shard)
-		amfs[r] = shard.AMF
-	}
-
-	// The top-level singleton fields alias shard 0, so code written
-	// against the singleton slice (experiments, tests, tooling) observes
-	// the first replica.
-	first := s.Shards[0]
-	s.UDM, s.AUSF, s.AMF = first.UDM, first.AUSF, first.AMF
-	s.Modules = first.Modules
-	s.MonoUDM = first.MonoUDM
-	s.RemoteUDM, s.RemoteAUSF, s.RemoteAMF = first.RemoteUDM, first.RemoteAUSF, first.RemoteAMF
-	s.Admission = first.Admission
-
-	// Topology control plane: the NRF's builder owns the authoritative
-	// replica set and pushes sealed snapshots into the gNB's router. The
-	// router is subscribed before the first publish, so epoch 1 is its
-	// catch-up-free baseline.
-	s.Topology = topo.NewBuilder()
-	s.Router = topology.NewRouter()
-	replicas := make([]topology.Replica, len(s.Shards))
-	for i, shard := range s.Shards {
-		replicas[i] = topology.Replica{Index: i, Name: shard.Name}
-	}
-	s.Topology.SetReplicas(replicas)
-	s.Topology.SetShardSize(cfg.ShardSize)
-	if err := s.Topology.Subscribe(s.Router); err != nil {
-		return nil, fmt.Errorf("deploy: router subscription: %w", err)
-	}
-	if res := s.Topology.Publish(); res.Nacked > 0 {
-		return nil, fmt.Errorf("deploy: initial topology push nacked (epoch %d)", res.Epoch)
-	}
-
-	if s.GNB, err = gnb.New(gnb.Config{
-		Env: env, AMFs: amfs, Router: s.Router, UPF: s.UPF,
-		MCC: cfg.MCC, MNC: cfg.MNC, Radio: cfg.Radio,
-	}); err != nil {
-		return nil, fmt.Errorf("deploy: gNB: %w", err)
-	}
-
-	if s.Chaos != nil {
-		for _, shard := range s.Shards {
-			for kind, m := range shard.Modules {
-				if e := m.Enclave(); e != nil {
-					s.Chaos.RegisterEnclave(m.ServiceName(), e)
-				}
-				if cfg.Isolation == paka.SGX || cfg.Isolation == paka.Container {
-					kind, idx := kind, shard.Index
-					s.Chaos.RegisterCrash(m.ServiceName(), func(ctx context.Context) error {
-						return s.RestartShardModule(ctx, idx, kind)
-					})
-				}
-			}
-		}
-		s.Chaos.SetArmed(true)
-	}
-	s.wireOverload()
-	return s, nil
+	return service
 }
 
-// buildShard constructs vertical replica r: its P-AKA module set (or
-// monolithic environments), its UDM, AUSF and AMF, all statically bound
-// to each other by service name. No NRF discovery happens anywhere in the
-// shard's call chain.
-func (s *Slice) buildShard(ctx context.Context, cfg SliceConfig, r int, signKey ed25519.PrivateKey, hmee bool) (*CoreShard, error) {
+// buildShard constructs replica r up to its AUSF: its P-AKA module set
+// (or monolithic environments), the VNF-side module clients, the UDM and
+// the AUSF. The shard's AMF comes later, from buildAMF, once the shared
+// SMF it discovers is up.
+func (s *Slice) buildShard(ctx context.Context, r int, signKey ed25519.PrivateKey, hmee bool) (*CoreShard, error) {
+	cfg := s.Config
 	suffix := shardSuffix(r)
 	shard := &CoreShard{
 		Index:       r,
@@ -213,12 +62,9 @@ func (s *Slice) buildShard(ctx context.Context, cfg SliceConfig, r int, signKey 
 
 	var udmFns paka.UDMFunctions
 	var ausfFns paka.AUSFFunctions
-	var amfFns paka.AMFFunctions
 	if cfg.Isolation == paka.Monolithic {
 		shard.MonoUDM = paka.NewMonolithicUDM(s.Env)
-		udmFns = shard.MonoUDM
-		ausfFns = paka.NewMonolithicAUSF(s.Env)
-		amfFns = paka.NewMonolithicAMF(s.Env)
+		udmFns, ausfFns = shard.MonoUDM, paka.NewMonolithicAUSF(s.Env)
 	} else {
 		shard.Modules = make(map[paka.ModuleKind]*paka.Module)
 		for _, kind := range paka.Kinds() {
@@ -233,20 +79,25 @@ func (s *Slice) buildShard(ctx context.Context, cfg SliceConfig, r int, signKey 
 				MaxThreads:       cfg.MaxThreads,
 				DisablePreheat:   cfg.DisablePreheat,
 				SignKey:          signKey,
-				ReserveBatchTCS:  kind == paka.EUDM && cfg.AVPoolDepth > 0,
-				Switchless:       cfg.Switchless,
+				// Pool refills enter the enclave via batch ECALLs, which
+				// need a TCS slot the resident threads do not hold.
+				ReserveBatchTCS: kind == paka.EUDM && cfg.AVPoolDepth > 0,
+				Switchless:      cfg.Switchless,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("deploy: %s module (shard %d): %w", kind, r, err)
 			}
 			shard.Modules[kind] = m
 		}
-		shard.RemoteUDM = paka.NewRemoteUDMService(s.buildInvoker(shard.UDMService), s.Env, shard.Modules[paka.EUDM].ServiceName())
-		shard.RemoteAUSF = paka.NewRemoteAUSFService(s.buildInvoker(shard.AUSFService), s.Env, shard.Modules[paka.EAUSF].ServiceName())
-		shard.RemoteAMF = paka.NewRemoteAMFService(s.buildInvoker(amf.ServiceName), s.Env, shard.Modules[paka.EAMF].ServiceName())
-		udmFns, ausfFns, amfFns = shard.RemoteUDM, shard.RemoteAUSF, shard.RemoteAMF
+		shard.RemoteUDM = paka.NewRemoteUDM(s.buildInvoker(shard.UDMService), s.Env, shard.Modules[paka.EUDM].ServiceName())
+		shard.RemoteAUSF = paka.NewRemoteAUSF(s.buildInvoker(shard.AUSFService), s.Env, shard.Modules[paka.EAUSF].ServiceName())
+		shard.RemoteAMF = paka.NewRemoteAMF(s.buildInvoker(amf.ServiceName+suffix), s.Env, shard.Modules[paka.EAMF].ServiceName())
+		udmFns, ausfFns = shard.RemoteUDM, shard.RemoteAUSF
 	}
 
+	// Reprovision lets the UDM push a long-term key back into an
+	// execution environment that lost its key store to a crash-restart
+	// (the container runtime keeps no sealed backup).
 	var reprovision func(ctx context.Context, supi string, k []byte) error
 	var coalesce func() int
 	if m, ok := shard.Modules[paka.EUDM]; ok {
@@ -254,8 +105,9 @@ func (s *Slice) buildShard(ctx context.Context, cfg SliceConfig, r int, signKey 
 			return m.ProvisionSubscriber(ctx, supi, k)
 		}
 		if cfg.Switchless {
-			// Each shard's refills coalesce with the demand queued on its
-			// own eUDM ring — shards never share a dispatcher.
+			// Refill batches widen opportunistically with the demand
+			// queued on the shard's own eUDM submission ring — cross-worker
+			// call coalescing; shards never share a dispatcher.
 			coalesce = m.RingOccupancy
 		}
 	}
@@ -274,12 +126,17 @@ func (s *Slice) buildShard(ctx context.Context, cfg SliceConfig, r int, signKey 
 		Env: s.Env, Registry: s.Registry, Invoker: s.buildInvoker(shard.AUSFService),
 		Functions: ausfFns, HMEE: hmee,
 		ServiceName: shard.AUSFService, InstanceID: shard.AUSFService + "-1",
-		UDMService: shard.UDMService,
+		UDMService: staticBinding(r, shard.UDMService),
 	}); err != nil {
 		return nil, fmt.Errorf("deploy: AUSF (shard %d): %w", r, err)
 	}
+	return shard, nil
+}
 
-	if p := cfg.Overload; p != nil && p.Admission != nil {
+// buildAMF gives the shard its admission controller and AMF, bound to
+// the shard's AUSF.
+func (s *Slice) buildAMF(ctx context.Context, shard *CoreShard, hmee bool) error {
+	if p := s.Config.Overload; p != nil && p.Admission != nil {
 		// Each shard gets its OWN token buckets: a tenant's storm drains
 		// only the buckets of the shards its shuffle shard routes to.
 		acfg := *p.Admission
@@ -288,15 +145,20 @@ func (s *Slice) buildShard(ctx context.Context, cfg SliceConfig, r int, signKey 
 		}
 		shard.Admission = admission.NewController(acfg)
 	}
-
-	if shard.AMF, err = amf.New(ctx, amf.Config{
-		Env: s.Env, Registry: s.Registry, Invoker: s.buildInvoker(amf.ServiceName + suffix),
-		Functions: amfFns, MCC: cfg.MCC, MNC: cfg.MNC, HMEE: hmee,
-		Admission:   shard.Admission,
-		InstanceID:  amf.ServiceName + suffix + "-1",
-		AUSFService: shard.AUSFService,
-	}); err != nil {
-		return nil, fmt.Errorf("deploy: AMF (shard %d): %w", r, err)
+	var fns paka.AMFFunctions = shard.RemoteAMF
+	if s.Config.Isolation == paka.Monolithic {
+		fns = paka.NewMonolithicAMF(s.Env)
 	}
-	return shard, nil
+	service := amf.ServiceName + shardSuffix(shard.Index)
+	var err error
+	if shard.AMF, err = amf.New(ctx, amf.Config{
+		Env: s.Env, Registry: s.Registry, Invoker: s.buildInvoker(service),
+		Functions: fns, MCC: s.Config.MCC, MNC: s.Config.MNC, HMEE: hmee,
+		Admission:   shard.Admission,
+		InstanceID:  service + "-1",
+		AUSFService: staticBinding(shard.Index, shard.AUSFService),
+	}); err != nil {
+		return fmt.Errorf("deploy: AMF (shard %d): %w", shard.Index, err)
+	}
+	return nil
 }

@@ -284,3 +284,68 @@ func TestShardedCounterAggregation(t *testing.T) {
 		t.Fatalf("fleet view (%d, %d) != shard sum (%d, %d)", fleet.Prewarmed, fleet.Pooled, sum, pooled)
 	}
 }
+
+// shardCounters snapshots, per shard, the counters a registration moves
+// along the shard's chain: the AMF's registered UEs, each VNF's requests
+// to its P-AKA module (the VNF-side response recorders) and the requests
+// each module served.
+func shardCounters(s *Slice) []map[string]int {
+	out := make([]map[string]int, len(s.Shards))
+	for i, sh := range s.Shards {
+		c := map[string]int{
+			"amf":         sh.AMF.RegisteredUEs(),
+			"amf->eamf":   recorded(sh.RemoteAMF.Response()),
+			"ausf->eausf": recorded(sh.RemoteAUSF.Response()),
+			"udm->eudm":   recorded(sh.RemoteUDM.Response()),
+		}
+		for kind, m := range sh.Modules {
+			c[kind.String()] = m.ServerSideLatency().N()
+		}
+		out[i] = c
+	}
+	return out
+}
+
+func recorded(r *paka.ResponseRecorder) int { return r.Initial.N() + r.Stable.N() }
+
+// TestShardChainsStayInShard checks the intra-shard bindings of a
+// four-replica core: each registration moves the AMF, AUSF, UDM and
+// module counters of the shard its SUPI routes to, and of no other.
+// Shard 0 reaches its AUSF and UDM through NRF discovery, which answers
+// with the lowest instance ID ("udm-1" < "udm-r1-1"); a replica that
+// sorted below shard 0 would capture shard 0's chain and fail here.
+func TestShardChainsStayInShard(t *testing.T) {
+	for _, iso := range []paka.Isolation{paka.Container, paka.SGX} {
+		t.Run(iso.String(), func(t *testing.T) {
+			s := newShardedTestSlice(t, SliceConfig{Isolation: iso, Seed: 29, Replicas: 4})
+			served := make([]int, len(s.Shards))
+			for i := 0; i < 16; i++ {
+				device := provisionUE(t, s, fmt.Sprintf("%010d", 8100+i))
+				owner := s.GNB.ShardOf(device.SUPIString())
+				before := shardCounters(s)
+				sess, err := s.GNB.RegisterUE(context.Background(), device)
+				if err != nil {
+					t.Fatalf("RegisterUE %s: %v", device.SUPIString(), err)
+				}
+				if sess.Shard() != owner {
+					t.Fatalf("%s served by shard %d, routes to %d", device.SUPIString(), sess.Shard(), owner)
+				}
+				after := shardCounters(s)
+				for r := range after {
+					for name, n := range after[r] {
+						if moved := n > before[r][name]; moved != (r == owner) {
+							t.Errorf("%s (shard %d): shard %d %s counter %d -> %d",
+								device.SUPIString(), owner, r, name, before[r][name], n)
+						}
+					}
+				}
+				served[owner]++
+			}
+			for r, n := range served {
+				if n == 0 {
+					t.Errorf("no registration routed to shard %d: %v", r, served)
+				}
+			}
+		})
+	}
+}

@@ -133,12 +133,14 @@ func massRegPoint(ctx context.Context, s *deploy.Slice, n, par int) (MassRegPoin
 }
 
 // sliceTransitions sums the enclave transitions (EENTER+EEXIT) across
-// every P-AKA module of the slice.
+// every P-AKA module of every shard of the slice.
 func sliceTransitions(s *deploy.Slice) uint64 {
 	var n uint64
-	for _, m := range s.Modules {
-		st := m.Stats()
-		n += st.EENTER + st.EEXIT
+	for _, shard := range s.Shards {
+		for _, m := range shard.Modules {
+			st := m.Stats()
+			n += st.EENTER + st.EEXIT
+		}
 	}
 	return n
 }

@@ -21,11 +21,10 @@ import (
 // same-seed slice, pre-provisions and prewarms the whole UE population,
 // then drives one deterministic sequential mass registration and reports
 // the fleet's virtual throughput (registrations over the busiest lane's
-// makespan) next to the shared-clock figure. The replicas=1 point takes
-// the singleton construction path, so it is bit-identical to the seed's
-// golden transcripts; the fleet speedup at 8 replicas is the tentpole
-// acceptance figure (>= 3x). Set BENCH_SHARD_JSON to a path to dump the
-// sweep (the BENCH_shard_scaling.json artifact).
+// makespan) next to the shared-clock figure. The replicas=1 point is the
+// singleton core, one shard; the fleet speedup at 8 replicas is the
+// tentpole acceptance figure (>= 3x). Set BENCH_SHARD_JSON to a path to
+// dump the sweep (the BENCH_shard_scaling.json artifact).
 
 // shardScaleReplicas is the swept replica axis.
 var shardScaleReplicas = []int{1, 2, 4, 8}
@@ -128,23 +127,6 @@ func ShardScale(ctx context.Context, cfg Config) (*ShardScaleResult, error) {
 	return result, nil
 }
 
-// fleetTransitions sums the enclave transitions (EENTER+EEXIT) across
-// every P-AKA module of every shard; singleton slices fall back to the
-// slice-level module map.
-func fleetTransitions(s *deploy.Slice) uint64 {
-	if len(s.Shards) == 0 {
-		return sliceTransitions(s)
-	}
-	var n uint64
-	for _, shard := range s.Shards {
-		for _, m := range shard.Modules {
-			st := m.Stats()
-			n += st.EENTER + st.EEXIT
-		}
-	}
-	return n
-}
-
 func sameLanes(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -219,7 +201,7 @@ func shardScalePoint(ctx context.Context, cfg Config, n, replicas int) (ShardSca
 		return point, err
 	}
 
-	transBefore := fleetTransitions(s)
+	transBefore := sliceTransitions(s)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	res, err := s.GNB.RegisterManyWith(ctx, gnb.MassOptions{
@@ -243,7 +225,7 @@ func shardScalePoint(ctx context.Context, cfg Config, n, replicas int) (ShardSca
 	if res.Registered > 0 {
 		point.AllocsPerReg = float64(after.Mallocs-before.Mallocs) / float64(res.Registered)
 		point.BytesPerReg = float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Registered)
-		point.TransPerReg = float64(fleetTransitions(s)-transBefore) / float64(res.Registered)
+		point.TransPerReg = float64(sliceTransitions(s)-transBefore) / float64(res.Registered)
 	}
 	point.LaneRegistered = make([]int, len(res.ShardStats))
 	for i, st := range res.ShardStats {

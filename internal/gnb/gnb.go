@@ -52,13 +52,10 @@ func USRPX310() RadioProfile {
 // Config wires a gNB.
 type Config struct {
 	Env *costmodel.Env
-	// AMF is the N2 peer of a single-replica core. Leave it nil and set
-	// AMFs for a sharded core.
-	AMF *amf.AMF
-	// AMFs is the replica pool of a sharded core, in shard-index order
-	// (matching the routing snapshots the Router receives). When set, the
-	// gNB routes each UE to AMFs[Router.Route(tenant, SUPI)]; when only
-	// AMF is set the gNB behaves exactly as the single-replica seed.
+	// AMFs are the gNB's N2 peers: the core's AMF replicas in shard-index
+	// order (matching the routing snapshots the Router receives). The gNB
+	// routes each UE to AMFs[Router.Route(tenant, SUPI)]; with a single
+	// AMF every UE goes to it and the Router is never consulted.
 	AMFs []*amf.AMF
 	// Router resolves (tenant, SUPI) to a replica index from the
 	// last-known-good topology snapshot. Required when len(AMFs) > 1.
@@ -93,11 +90,8 @@ type GNB struct {
 // New creates a gNB.
 func New(cfg Config) (*GNB, error) {
 	amfs := cfg.AMFs
-	if len(amfs) == 0 && cfg.AMF != nil {
-		amfs = []*amf.AMF{cfg.AMF}
-	}
 	if cfg.Env == nil || len(amfs) == 0 {
-		return nil, errors.New("gnb: Env and AMF (or AMFs) are required")
+		return nil, errors.New("gnb: Env and AMFs are required")
 	}
 	for _, a := range amfs {
 		if a == nil {

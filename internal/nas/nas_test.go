@@ -40,8 +40,10 @@ func roundTrip(t *testing.T, m Message) Message {
 	return got
 }
 
-func TestRoundTripAllMessages(t *testing.T) {
-	msgs := []Message{
+// sampleMessages is one populated instance of every message type (both
+// identity forms of RegistrationRequest, both AuthenticationFailure causes).
+func sampleMessages() []Message {
+	return []Message{
 		&RegistrationRequest{
 			RegistrationType: RegistrationInitial,
 			NgKSI:            3,
@@ -65,7 +67,10 @@ func TestRoundTripAllMessages(t *testing.T) {
 		&PDUSessionEstablishmentRequest{SessionID: 1, DNN: "internet"},
 		&PDUSessionEstablishmentAccept{SessionID: 1, UEAddress: "10.0.0.2"},
 	}
-	for _, m := range msgs {
+}
+
+func TestRoundTripAllMessages(t *testing.T) {
+	for _, m := range sampleMessages() {
 		t.Run(m.Type().String(), func(t *testing.T) {
 			got := roundTrip(t, m)
 			if !reflect.DeepEqual(got, m) {
